@@ -13,7 +13,9 @@
 #                        # registry, answers diffed + bench_minimize --smoke),
 #                        # trace smoke (forced trace over the wire: span tree
 #                        # stations + parent links, Chrome export parses,
-#                        # traced answers diffed against untraced)
+#                        # traced answers diffed against untraced),
+#                        # benchmark build + tests (perfbench/ compiles
+#                        # against the server and engine APIs)
 #   ci/check.sh --fix    # apply clippy suggestions and rustfmt in place
 #
 # The same commands run in CI; keep them byte-for-byte in sync.
@@ -377,5 +379,11 @@ dropped="$(prom_value trl_trace_spans_dropped "$net_dir/trace.prom")"
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
+
+# Benchmark leg: perfbench/ is its own package (not a workspace member)
+# that compiles against Request, Response, FrameScan, scan_frame,
+# HEADER_LEN and Engine::run_artifact_batch; build and test it here so an
+# API break shows up in CI, not first in a benchmark run.
+cargo test --offline --quiet --manifest-path perfbench/Cargo.toml
 
 echo "ci/check.sh: OK"

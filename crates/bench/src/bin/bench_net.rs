@@ -7,7 +7,7 @@
 //! tier of your choosing.
 //!
 //! The full run sweeps a tier matrix — {8, 32, 128} connections ×
-//! pipeline depth {1, 8, 32} — with every request a version-3 pipelined
+//! pipeline depth {1, 8, 32} — with every request a pipelined
 //! frame of [`FRAME_BATCH`] queries. Depth 1 is the classic closed loop;
 //! deeper tiers keep that many frames in flight per connection so the
 //! reactor can coalesce a whole readiness drain into one executor batch.
@@ -36,7 +36,7 @@ use trl_bench::harness::LatencySummary;
 use trl_bench::{banner, check, random_3cnf, row, section, Rng};
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, Var};
-use trl_engine::{fingerprint, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
+use trl_engine::{fingerprint, Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
 use trl_prop::Cnf;
 use trl_server::{
@@ -121,7 +121,8 @@ fn main() {
     for _ in 0..3 {
         let start = Instant::now();
         answers = baseline
-            .run_batch(&prepared, flat.clone())
+            .run_artifact_batch(&Artifact::Circuit(Arc::clone(&prepared)), flat.clone())
+            .expect("frames valid for the circuit")
             .into_iter()
             .map(|o| o.answer)
             .collect::<Vec<QueryAnswer>>();

@@ -320,59 +320,22 @@ impl Engine {
         Ok(out)
     }
 
-    /// Validates and answers a batch on the shared worker pool
-    /// ([`Executor::try_run_batch`]).
-    pub fn run_batch(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-    ) -> Result<Vec<QueryOutcome>> {
-        self.executor.try_run_batch(circuit, queries)
-    }
-
-    /// Validates and submits a batch without blocking; the completion
-    /// callback fires on a worker thread once every query is answered
-    /// ([`Executor::submit_batch`]).
-    pub fn submit_batch<F>(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.executor.submit_batch(circuit, queries, on_done)
-    }
-
-    /// Validates and answers a batch against any typed artifact
-    /// ([`Executor::try_run_artifact_batch`]).
+    /// Validates and answers a batch against any typed artifact on the
+    /// shared worker pool, blocking until it drains
+    /// ([`Executor::run_artifact_batch`]).
     pub fn run_artifact_batch(
         &self,
         artifact: &Artifact,
         queries: Vec<Query>,
     ) -> Result<Vec<QueryOutcome>> {
-        self.executor.try_run_artifact_batch(artifact, queries)
+        self.executor.run_artifact_batch(artifact, queries)
     }
 
     /// Validates and submits a batch against any typed artifact without
-    /// blocking ([`Executor::submit_artifact_batch`]).
+    /// blocking; `on_done` fires on a worker thread once every query is
+    /// answered, and a sampled `ctx` threads the request's trace through
+    /// the pool ([`Executor::submit_artifact_batch`]).
     pub fn submit_artifact_batch<F>(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.executor
-            .submit_artifact_batch(artifact, queries, on_done)
-    }
-
-    /// [`Engine::submit_artifact_batch`] carrying a sampled trace context
-    /// ([`Executor::submit_artifact_batch_traced`]).
-    pub fn submit_artifact_batch_traced<F>(
         &self,
         artifact: &Artifact,
         queries: Vec<Query>,
@@ -383,7 +346,7 @@ impl Engine {
         F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
     {
         self.executor
-            .submit_artifact_batch_traced(artifact, queries, ctx, on_done)
+            .submit_artifact_batch(artifact, queries, ctx, on_done)
     }
 
     /// The shared executor (for callers that manage circuits themselves).
@@ -458,7 +421,10 @@ mod tests {
         assert!(engine.get(key).is_some());
         assert!(engine.get(key ^ 1).is_none());
         let outcomes = engine
-            .run_batch(&circuit, vec![Query::ModelCount, Query::Sat])
+            .run_artifact_batch(
+                &Artifact::Circuit(Arc::clone(&circuit)),
+                vec![Query::ModelCount, Query::Sat],
+            )
             .unwrap();
         assert_eq!(
             outcomes[0].answer.model_count(),
@@ -570,11 +536,9 @@ mod tests {
                 let mut batches = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     // Re-fetch by key each round, racing the swap.
-                    let Some(Artifact::Circuit(c)) = engine.get(key) else {
-                        panic!("artifact vanished mid-serve");
-                    };
+                    let artifact = engine.get(key).expect("artifact vanished mid-serve");
                     let outcomes = engine
-                        .run_batch(&c, vec![Query::ModelCount, Query::Sat])
+                        .run_artifact_batch(&artifact, vec![Query::ModelCount, Query::Sat])
                         .expect("batch");
                     assert_eq!(outcomes[0].answer.model_count(), Some(expect_count));
                     assert!(matches!(

@@ -4,7 +4,7 @@
 //! Workers are plain `std::thread`s pulling jobs off a shared channel;
 //! circuits are shared as `Arc<PreparedCircuit>` so a batch touching one
 //! artifact clones a pointer, not a circuit. A job is no longer one query:
-//! [`Executor::run_batch`] groups compatible queries (same kind, same
+//! [`Executor::run_artifact_batch`] groups compatible queries (same kind, same
 //! circuit) and ships them as a unit, so a worker answers each group with
 //! one lane-batched tape sweep ([`trl_nnf::EvalTape`]) instead of one
 //! scalar arena walk per query. When the opt-in [`ParallelPolicy`] says a
@@ -13,9 +13,9 @@
 //! reports its service latency, so `bench-serve` can record tail
 //! behaviour, not just throughput.
 //!
-//! Batches can be submitted two ways: [`Executor::run_batch`] /
-//! [`Executor::try_run_batch`] block the caller until the batch drains,
-//! while [`Executor::submit_batch`] returns immediately and fires a
+//! Batches can be submitted two ways: [`Executor::run_artifact_batch`]
+//! blocks the caller until the batch drains, while
+//! [`Executor::submit_artifact_batch`] returns immediately and fires a
 //! completion callback from the worker that answers the last job — the
 //! submission path the readiness-driven network server uses so its reactor
 //! threads never block on the pool.
@@ -31,7 +31,6 @@ use std::time::{Duration, Instant};
 
 use crate::artifact::{Artifact, ArtifactKind};
 use crate::error::{EngineError, Result};
-use crate::prepared::PreparedCircuit;
 use trl_core::{Assignment, Cube, PartialAssignment, Var};
 use trl_nnf::{LitWeights, LANES};
 use trl_obs::TraceContext;
@@ -583,63 +582,30 @@ impl Executor {
         }
     }
 
-    /// Validates a batch of queries against a circuit and answers them on
-    /// the pool, returning outcomes in submission order.
-    pub fn run_batch(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-    ) -> Vec<QueryOutcome> {
-        self.try_run_batch(circuit, queries)
-            .expect("batch queries valid for this circuit")
-    }
-
-    /// [`Executor::run_batch`], returning the first validation error
-    /// instead of panicking. No query runs unless the whole batch is valid.
+    /// Validates a batch of queries against an artifact and answers them
+    /// on the pool, returning outcomes in submission order — or the first
+    /// validation error, in which case no query runs.
     ///
     /// Blocks until the batch drains; implemented over
-    /// [`Executor::submit_batch`] with a channel completion.
-    pub fn try_run_batch(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-    ) -> Result<Vec<QueryOutcome>> {
-        self.try_run_artifact_batch(&Artifact::Circuit(Arc::clone(circuit)), queries)
-    }
-
-    /// [`Executor::try_run_batch`] against any typed artifact.
-    pub fn try_run_artifact_batch(
+    /// [`Executor::submit_artifact_batch`] with a channel completion.
+    pub fn run_artifact_batch(
         &self,
         artifact: &Artifact,
         queries: Vec<Query>,
     ) -> Result<Vec<QueryOutcome>> {
         let (done_tx, done_rx) = channel();
-        self.submit_artifact_batch(artifact, queries, move |outcomes| {
+        self.submit_artifact_batch(artifact, queries, None, move |outcomes| {
             // The submitter may have given up waiting; that's its business.
             let _ = done_tx.send(outcomes);
         })?;
         Ok(done_rx.recv().expect("a worker died mid-batch"))
     }
 
-    /// Validates and submits a circuit batch without blocking — see
-    /// [`Executor::submit_artifact_batch`] for the semantics.
-    pub fn submit_batch<F>(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.submit_artifact_batch(&Artifact::Circuit(Arc::clone(circuit)), queries, on_done)
-    }
-
     /// Validates and submits a batch without blocking: `on_done` fires on
     /// a worker thread (or inline, for an empty batch) once every query is
     /// answered, receiving outcomes in submission order. This is the
     /// readiness-driven server's path — a reactor thread submits a
-    /// pipelined connection's queries as one batch and keeps polling while
+    /// connection's staged queries as one batch and keeps polling while
     /// the pool works.
     ///
     /// Every query must be addressed to the artifact's kind
@@ -648,23 +614,12 @@ impl Executor {
     /// the pool (or handed whole to a layer-parallel sweep when the active
     /// [`ParallelPolicy`] says the circuit is wide enough); SAT, MPE, and
     /// every role-2/3 query run individually.
+    ///
+    /// A sampled `ctx` makes every job record its queue wait as a child
+    /// span and install the context on the answering worker, so
+    /// kernel-level spans (sweeps, layer barriers) land in the request's
+    /// tree.
     pub fn submit_artifact_batch<F>(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.submit_artifact_batch_traced(artifact, queries, None, on_done)
-    }
-
-    /// [`Executor::submit_artifact_batch`] carrying a sampled
-    /// [`TraceContext`]: every job records its queue wait as a child span
-    /// and installs the context on the answering worker, so kernel-level
-    /// spans (sweeps, layer barriers) land in the request's tree.
-    pub fn submit_artifact_batch_traced<F>(
         &self,
         artifact: &Artifact,
         queries: Vec<Query>,
@@ -792,6 +747,7 @@ impl Drop for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::PreparedCircuit;
     use trl_compiler::DecisionDnnfCompiler;
     use trl_prop::Cnf;
 
@@ -800,6 +756,12 @@ mod tests {
         Arc::new(PreparedCircuit::new(
             DecisionDnnfCompiler::default().compile(&cnf),
         ))
+    }
+
+    /// Runs a batch that must be valid against a prepared circuit.
+    fn run(ex: &Executor, p: &Arc<PreparedCircuit>, queries: Vec<Query>) -> Vec<QueryOutcome> {
+        ex.run_artifact_batch(&Artifact::Circuit(Arc::clone(p)), queries)
+            .expect("batch queries valid for this circuit")
     }
 
     #[test]
@@ -814,7 +776,7 @@ mod tests {
             queries.push(Query::Sat);
             queries.push(Query::Wmc(LitWeights::unit(4)));
         }
-        let outcomes = ex.run_batch(&p, queries);
+        let outcomes = run(&ex, &p, queries);
         assert_eq!(outcomes.len(), 51);
         for chunk in outcomes.chunks(3) {
             assert_eq!(chunk[0].answer.model_count(), Some(expected_count));
@@ -845,7 +807,7 @@ mod tests {
             }
         }
         let ex = Executor::new(2);
-        let outcomes = ex.run_batch(&p, queries.clone());
+        let outcomes = run(&ex, &p, queries.clone());
         for (q, o) in queries.iter().zip(&outcomes) {
             assert_eq!(o.answer, p.answer(q), "kind={}", q.kind());
         }
@@ -854,7 +816,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let ex = Executor::new(2);
-        assert!(ex.run_batch(&prepared(), Vec::new()).is_empty());
+        assert!(run(&ex, &prepared(), Vec::new()).is_empty());
     }
 
     #[test]
@@ -862,12 +824,12 @@ mod tests {
         let ex = Executor::new(1);
         let bad = vec![Query::ModelCount, Query::Wmc(LitWeights::unit(2))];
         assert!(matches!(
-            ex.try_run_batch(&prepared(), bad),
+            ex.run_artifact_batch(&Artifact::Circuit(prepared()), bad),
             Err(EngineError::Structure(_))
         ));
         let bad_evidence = vec![Query::ModelCountUnder(PartialAssignment::new(2))];
         assert!(matches!(
-            ex.try_run_batch(&prepared(), bad_evidence),
+            ex.run_artifact_batch(&Artifact::Circuit(prepared()), bad_evidence),
             Err(EngineError::Structure(_))
         ));
     }
@@ -877,7 +839,7 @@ mod tests {
         let p = prepared();
         let ex = Executor::new(2);
         for _ in 0..10 {
-            let outcomes = ex.run_batch(&p, vec![Query::ModelCount; 8]);
+            let outcomes = run(&ex, &p, vec![Query::ModelCount; 8]);
             assert!(outcomes
                 .iter()
                 .all(|o| o.answer.model_count() == Some(p.raw().model_count())));
@@ -888,7 +850,7 @@ mod tests {
     fn zero_worker_request_still_gets_one() {
         let ex = Executor::new(0);
         assert_eq!(ex.num_workers(), 1);
-        let outcomes = ex.run_batch(&prepared(), vec![Query::Sat]);
+        let outcomes = run(&ex, &prepared(), vec![Query::Sat]);
         assert_eq!(outcomes[0].answer, QueryAnswer::Sat(true));
     }
 
@@ -925,10 +887,10 @@ mod tests {
     fn layered_opt_in_answers_identically() {
         let p = prepared();
         let ex = Executor::new(2);
-        let lane = ex.run_batch(&p, vec![Query::ModelCount; 20]);
+        let lane = run(&ex, &p, vec![Query::ModelCount; 20]);
         // min_nodes: 1 forces the layered sweep even on this tiny circuit.
         ex.set_parallel_policy(ParallelPolicy::Layered { min_nodes: 1 });
-        let layered = ex.run_batch(&p, vec![Query::ModelCount; 20]);
+        let layered = run(&ex, &p, vec![Query::ModelCount; 20]);
         for (a, b) in lane.iter().zip(&layered) {
             assert_eq!(a.answer, b.answer);
         }
@@ -949,13 +911,14 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         for _ in 0..8 {
             let tx = tx.clone();
-            ex.submit_batch(
-                &p,
+            ex.submit_artifact_batch(
+                &Artifact::Circuit(Arc::clone(&p)),
                 vec![
                     Query::ModelCount,
                     Query::Sat,
                     Query::Wmc(LitWeights::unit(4)),
                 ],
+                None,
                 move |outcomes| {
                     let _ = tx.send(outcomes);
                 },
@@ -979,10 +942,15 @@ mod tests {
         let ex = Executor::new(1);
         let fired = Arc::new(AtomicUsize::new(0));
         let flag = Arc::clone(&fired);
-        ex.submit_batch(&prepared(), Vec::new(), move |outcomes| {
-            assert!(outcomes.is_empty());
-            flag.fetch_add(1, Ordering::SeqCst);
-        })
+        ex.submit_artifact_batch(
+            &Artifact::Circuit(prepared()),
+            Vec::new(),
+            None,
+            move |outcomes| {
+                assert!(outcomes.is_empty());
+                flag.fetch_add(1, Ordering::SeqCst);
+            },
+        )
         .unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
@@ -1008,7 +976,7 @@ mod tests {
         e.assign(Var(2).positive());
         let art = Artifact::Psdd(Arc::clone(&psdd));
         let outcomes = ex
-            .try_run_artifact_batch(
+            .run_artifact_batch(
                 &art,
                 vec![
                     Query::PsddLogLikelihood(data.clone()),
@@ -1027,7 +995,7 @@ mod tests {
 
         let art = Artifact::Space(Arc::clone(&space));
         let outcomes = ex
-            .try_run_artifact_batch(
+            .run_artifact_batch(
                 &art,
                 vec![
                     Query::SpaceCount(PartialAssignment::new(3)),
@@ -1047,7 +1015,7 @@ mod tests {
         let x = Assignment::from_values(&[true, true, true]);
         let art = Artifact::Classifier(Arc::clone(&clf));
         let outcomes = ex
-            .try_run_artifact_batch(
+            .run_artifact_batch(
                 &art,
                 vec![
                     Query::SufficientReason(x.clone()),
@@ -1076,7 +1044,7 @@ mod tests {
     #[test]
     fn kind_mismatch_rejected_before_running() {
         let ex = Executor::new(1);
-        let result = ex.try_run_artifact_batch(
+        let result = ex.run_artifact_batch(
             &Artifact::Circuit(prepared()),
             vec![Query::SpaceCount(PartialAssignment::new(4))],
         );
@@ -1086,9 +1054,10 @@ mod tests {
     #[test]
     fn submit_batch_rejects_invalid_without_firing() {
         let ex = Executor::new(1);
-        let result = ex.submit_batch(
-            &prepared(),
+        let result = ex.submit_artifact_batch(
+            &Artifact::Circuit(prepared()),
             vec![Query::Wmc(LitWeights::unit(2))],
+            None,
             move |_| panic!("completion must not fire for a rejected batch"),
         );
         assert!(matches!(result, Err(EngineError::Structure(_))));

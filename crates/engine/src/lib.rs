@@ -34,7 +34,7 @@
 //!   (`BENCH_eval.json`).
 //!
 //! ```
-//! use trl_engine::{Executor, PreparedCircuit, Query, Registry};
+//! use trl_engine::{Artifact, Executor, Query, Registry};
 //! use trl_prop::Cnf;
 //! use std::sync::Arc;
 //!
@@ -45,7 +45,9 @@
 //! assert!(Arc::ptr_eq(&circuit, &again));
 //!
 //! let executor = Executor::new(2);
-//! let outcomes = executor.run_batch(&circuit, vec![Query::ModelCount, Query::Sat]);
+//! let outcomes = executor
+//!     .run_artifact_batch(&Artifact::Circuit(circuit), vec![Query::ModelCount, Query::Sat])
+//!     .unwrap();
 //! assert_eq!(outcomes[0].answer.model_count(), Some(2));
 //! ```
 

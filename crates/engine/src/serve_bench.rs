@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::artifact::Artifact;
 use crate::executor::{Executor, Query};
 use crate::prepared::PreparedCircuit;
 use trl_core::{SplitMix64, Var};
@@ -199,6 +200,7 @@ pub fn serving_benchmark(
     let start = Instant::now();
     let prepared = Arc::new(PreparedCircuit::new(circuit.clone()));
     prepared.warm();
+    let artifact = Artifact::Circuit(Arc::clone(&prepared));
     let prepare_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut configs = Vec::new();
@@ -213,7 +215,9 @@ pub fn serving_benchmark(
             let mut latencies_us: Vec<f64> = Vec::with_capacity(queries.len());
             let mut served: Vec<f64> = Vec::with_capacity(queries.len());
             for chunk in queries.chunks(batch_size) {
-                let outcomes = executor.run_batch(&prepared, chunk.to_vec());
+                let outcomes = executor
+                    .run_artifact_batch(&artifact, chunk.to_vec())
+                    .expect("WMC stream valid for the circuit");
                 for o in outcomes {
                     latencies_us.push(o.latency.as_secs_f64() * 1e6);
                     served.push(o.answer.wmc().expect("WMC stream"));

@@ -685,12 +685,20 @@ pub fn register_trace_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
 
-    // Sampling-rate state and the ACTIVE flag are process-global, so the
-    // paths that depend on their exact value live in this one test;
-    // other tests use forced guards, which compose concurrently.
+    /// Serializes the tests that touch the process-global trace state
+    /// (sampling rate, forced guards, the ACTIVE flag): a forced guard
+    /// held by one test would otherwise switch recording on under
+    /// another that asserts it is off.
+    fn global_trace_state() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn sampling_controls_recording() {
+        let _serial = global_trace_state();
         assert!(maybe_sample().is_none(), "rate starts at zero");
         // Inactive tracing: guards are inert even with a context installed.
         let ctx = TraceContext::generate(true);
@@ -713,6 +721,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_collect_with_parent_links() {
+        let _serial = global_trace_state();
         let _forced = force_tracing();
         let ctx = TraceContext::generate(true);
         let begin = Instant::now();
@@ -753,6 +762,7 @@ mod tests {
 
     #[test]
     fn contexts_cross_threads_explicitly() {
+        let _serial = global_trace_state();
         let _forced = force_tracing();
         let ctx = TraceContext::generate(true);
         let worker_ctx = ctx;
@@ -773,6 +783,7 @@ mod tests {
 
     #[test]
     fn explicit_records_attach_under_the_given_context() {
+        let _serial = global_trace_state();
         let _forced = force_tracing();
         let ctx = TraceContext::generate(true);
         let t = Instant::now();
@@ -791,6 +802,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_without_unbounded_growth() {
+        let _serial = global_trace_state();
         let _forced = force_tracing();
         let ctx = TraceContext::generate(true);
         with_current_trace(Some(ctx), || {

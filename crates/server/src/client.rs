@@ -1,8 +1,9 @@
 //! A blocking client for the `trl-server` wire protocol.
 //!
-//! One [`Client`] wraps one TCP connection. The classic methods speak
-//! strict request/response — one frame out, one frame in — while the
-//! `pipeline_*` family keeps many version-3 frames in flight on the same
+//! One [`Client`] wraps one TCP connection and speaks the one protocol
+//! version, [`crate::PROTOCOL_VERSION`]. The classic methods speak strict
+//! request/response — one frame out, one frame in — while the
+//! `pipeline_*` family keeps many pipelined frames in flight on the same
 //! connection and matches responses by id as they complete.
 //! Server-side failures arrive as [`ClientError::Server`] carrying the
 //! typed [`WireError`] — the connection stays usable afterwards (that is
@@ -214,8 +215,8 @@ impl Client {
     }
 
     /// Learns (or fetches, if the server already holds it) a PSDD over
-    /// `cnf`'s support from a weighted complete dataset (protocol
-    /// version 4), returning the registry key for query requests.
+    /// `cnf`'s support from a weighted complete dataset, returning the
+    /// registry key for query requests.
     pub fn learn_psdd(
         &mut self,
         cnf: &Cnf,
@@ -245,7 +246,7 @@ impl Client {
     }
 
     /// Compiles (or fetches) the structured space of simple `s`–`t` paths
-    /// of a graph (protocol version 4).
+    /// of a graph.
     pub fn compile_space(
         &mut self,
         num_nodes: u32,
@@ -277,7 +278,7 @@ impl Client {
     }
 
     /// Compiles (or fetches) `cnf` as a classifier prepared for
-    /// explanation queries (protocol version 4).
+    /// explanation queries.
     pub fn compile_classifier(&mut self, cnf: &Cnf) -> Result<ClassifierSummary> {
         match self.call(&Request::CompileClassifier(cnf.clone()))? {
             Response::ClassifierCompiled {
@@ -296,8 +297,8 @@ impl Client {
     }
 
     /// Asks the server to minimize the circuit under `key` and swap in a
-    /// strictly smaller bit-identical replacement if one is found
-    /// (protocol version 5). The key is unchanged either way.
+    /// strictly smaller bit-identical replacement if one is found. The
+    /// key is unchanged either way.
     pub fn optimize(&mut self, key: u64) -> Result<OptimizedSummary> {
         match self.call(&Request::Optimize { key })? {
             Response::Optimized {
@@ -328,7 +329,7 @@ impl Client {
     }
 
     /// Answers one query like [`Client::query`] — the answer is
-    /// byte-identical — but force-traced server-side (protocol version 6):
+    /// byte-identical — but force-traced server-side:
     /// returns the trace id this call generated together with the answer
     /// and the server's collected span tree, whose root parents onto the
     /// generated context's root span.
@@ -361,7 +362,7 @@ impl Client {
         }
     }
 
-    /// Sends one pipelined batch frame (protocol version 3) **without
+    /// Sends one pipelined batch frame **without
     /// waiting for the response**. The caller picks `id` and must keep it
     /// unique among its in-flight frames; the matching
     /// [`Client::pipeline_recv`] may deliver ids in any order, because the

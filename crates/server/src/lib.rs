@@ -7,9 +7,10 @@
 //! workspace:
 //!
 //! * [`protocol`] — a versioned, length-prefixed, checksummed binary wire
-//!   protocol with typed request/response frames for compile, SAT,
+//!   protocol (one version, [`PROTOCOL_VERSION`]) with typed
+//!   request/response frames for compile, SAT,
 //!   model-count(-under-evidence), WMC, marginals, MPE, batches, stats,
-//!   and shutdown — and, since version 4, the paper's other two roles:
+//!   and shutdown — and the paper's other two roles:
 //!   PSDD learning plus log-likelihood/marginal queries (role 2),
 //!   structured-space compilation with count/top queries (role 2), and
 //!   classifier compilation with sufficient-reason, robustness, and bias
@@ -54,9 +55,9 @@ pub use client::{
     SpaceSummary,
 };
 pub use protocol::{
-    decode_stats_v1_prefix, read_request, read_response, scan_frame, write_request, write_response,
-    write_response_versioned, FrameScan, ProtocolError, Request, Response, WireError,
-    DEFAULT_MAX_FRAME_LEN, MAX_UNIVERSE, PROTOCOL_VERSION,
+    read_request, read_response, scan_frame, write_request, write_response, FrameScan,
+    ProtocolError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, MAX_UNIVERSE,
+    PROTOCOL_VERSION,
 };
 pub use reactor::{Event, Reactor, Waker};
 pub use server::{Server, ServerConfig, ServerCounters, ServerHandle};

@@ -28,66 +28,37 @@
 //! [`Response::Error`] carrying a typed [`WireError`] — a protocol error
 //! means the *stream* is unusable, a wire error means the *request* failed.
 //!
-//! ## Version history
+//! ## Frame kinds
 //!
-//! * **1** — initial protocol; the stats payload carried eight fields
-//!   (registry hits/misses/evictions, artifacts, retained/max-retained
-//!   nodes, workers, queue depth).
-//! * **2** — the stats payload grew an observability extension *after* the
-//!   unchanged version-1 prefix: uptime, per-query-kind served counts,
-//!   connection counters, and a full metric dump (counters, gauges,
-//!   latency histograms). Readers accept versions `1..=2`, and a
-//!   prefix-tolerant version-1 reader ([`decode_stats_v1_prefix`]) still
-//!   recovers the legacy fields from a version-2 payload byte-for-byte.
-//!   Every other frame kind is encoded exactly as in version 1.
-//! * **3** — pipelining and frame batching. Two new frame kinds:
-//!   [`Request::PipelinedBatch`] (kind `0x07`: a client-chosen request id,
-//!   a registry key, and many queries under one checksummed length
-//!   prefix) and [`Response::PipelinedBatch`] (kind `0x88`: the id echoed
-//!   back with either the answers or a typed [`WireError`]). Ids let a
-//!   connection keep many frames in flight and match responses that
-//!   complete out of order. Every version-2 frame kind is encoded exactly
-//!   as before, readers accept versions `1..=3`, and a server stamps each
-//!   response with the version of the request frame it answers
-//!   ([`write_response_versioned`]) — a version-2 client never sees a
-//!   version-3 header.
-//! * **4** — typed artifacts for the paper's other two roles. Three new
-//!   request kinds build non-circuit artifacts: [`Request::LearnPsdd`]
-//!   (kind `0x08`: a CNF support, a Laplace prior, and a weighted complete
-//!   dataset to learn a PSDD from), [`Request::CompileSpace`] (kind
-//!   `0x09`: a graph and terminals whose simple paths become a structured
-//!   space), and [`Request::CompileClassifier`] (kind `0x0a`: a CNF
-//!   compiled for explanation queries). Each is answered by its own
-//!   response kind ([`Response::Learned`] `0x89`,
-//!   [`Response::SpaceCompiled`] `0x8a`, [`Response::ClassifierCompiled`]
-//!   `0x8b`) carrying the registry key the artifact now lives under. The
-//!   existing query/batch/pipelined frames gained seven query tags
-//!   (`6..=12`: PSDD log-likelihood and marginal, space count and top,
-//!   sufficient reason, robustness, bias) and five answer tags (`5..=9`).
-//!   Every version-3 frame kind is encoded exactly as before, readers
-//!   accept versions `1..=4`, and responses keep echoing the request
-//!   frame's version.
-//! * **5** — background minimization. One new request kind,
-//!   [`Request::Optimize`] (kind `0x0b`: a registry key whose resident
-//!   circuit the server re-compresses and atomically swaps in place —
-//!   the key is unchanged, every answer stays bit-identical), answered
-//!   by [`Response::Optimized`] (kind `0x8c`: node counts before/after,
-//!   whether the smaller circuit was actually swapped in, and the wall
-//!   time the pass took). Every version-4 frame kind is encoded exactly
-//!   as before, readers accept versions `1..=5`, and responses keep
-//!   echoing the request frame's version.
-//! * **6** — request-scoped tracing. One new request kind,
-//!   [`Request::Trace`] (kind `0x0c`: a client-generated
-//!   [`TraceContext`] — trace id, the client's open span id, sampled
-//!   flag — plus the registry key and query of an ordinary
-//!   [`Request::Query`]), answered by [`Response::Traced`] (kind `0x8d`:
-//!   the bit-identical [`QueryAnswer`] the untraced query would have
-//!   produced, plus the server-side span tree as a flat list of
-//!   [`TraceSpanData`] with parent links, rooted under the client's span
-//!   id). The trace context is an *optional extension*: v1–v5 clients
-//!   never send kind `0x0c` and every pre-existing frame kind is encoded
-//!   exactly as before; readers accept versions `1..=6`, and responses
-//!   keep echoing the request frame's version.
+//! | request | kind | answered by | kind | order |
+//! |---|---|---|---|---|
+//! | [`Request::Ping`] | `0x01` | [`Response::Pong`] | `0x81` | ordered |
+//! | [`Request::Compile`] | `0x02` | [`Response::Compiled`] | `0x82` | ordered |
+//! | [`Request::Query`] | `0x03` | [`Response::Answer`] | `0x83` | ordered |
+//! | [`Request::Batch`] | `0x04` | [`Response::Batch`] | `0x84` | ordered |
+//! | [`Request::Stats`] | `0x05` | [`Response::Stats`] | `0x85` | ordered |
+//! | [`Request::Shutdown`] | `0x06` | [`Response::ShuttingDown`] | `0x86` | ordered |
+//! | [`Request::PipelinedBatch`] | `0x07` | [`Response::PipelinedBatch`] | `0x88` | by id |
+//! | [`Request::LearnPsdd`] | `0x08` | [`Response::Learned`] | `0x89` | ordered |
+//! | [`Request::CompileSpace`] | `0x09` | [`Response::SpaceCompiled`] | `0x8a` | ordered |
+//! | [`Request::CompileClassifier`] | `0x0a` | [`Response::ClassifierCompiled`] | `0x8b` | ordered |
+//! | [`Request::Optimize`] | `0x0b` | [`Response::Optimized`] | `0x8c` | ordered |
+//! | [`Request::Trace`] | `0x0c` | [`Response::Traced`] | `0x8d` | ordered |
+//!
+//! Any request may instead be answered by [`Response::Error`] (`0x87`).
+//! "Ordered" responses come back in the order their requests were sent,
+//! relative to every other ordered request on the connection; a pipelined
+//! frame carries a client-chosen id and is answered the moment it
+//! completes, so its response may overtake others.
+//!
+//! ## One version
+//!
+//! Every frame is stamped with [`PROTOCOL_VERSION`] (6), and a reader
+//! accepts exactly that version: a frame stamped with any other version
+//! is rejected at header time with the typed
+//! [`ProtocolError::UnsupportedVersion`]. Every client of the protocol
+//! builds from this repository, so a format change bumps the version and
+//! moves every client with it instead of carrying compatibility paths.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -99,7 +70,7 @@ use trl_nnf::LitWeights;
 use trl_obs::{HistogramSnapshot, MetricValue, MetricsDump, TraceContext, TraceSpanData};
 use trl_prop::Cnf;
 
-/// The newest protocol version this build speaks.
+/// The one protocol version this build speaks and accepts.
 pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Frame magic: "TRL Wire".
@@ -124,12 +95,12 @@ const KIND_REQ_QUERY: u8 = 0x03;
 const KIND_REQ_BATCH: u8 = 0x04;
 const KIND_REQ_STATS: u8 = 0x05;
 const KIND_REQ_SHUTDOWN: u8 = 0x06;
-const KIND_REQ_PIPELINED_BATCH: u8 = 0x07; // version 3
-const KIND_REQ_LEARN_PSDD: u8 = 0x08; // version 4
-const KIND_REQ_COMPILE_SPACE: u8 = 0x09; // version 4
-const KIND_REQ_COMPILE_CLASSIFIER: u8 = 0x0a; // version 4
-const KIND_REQ_OPTIMIZE: u8 = 0x0b; // version 5
-const KIND_REQ_TRACE: u8 = 0x0c; // version 6
+const KIND_REQ_PIPELINED_BATCH: u8 = 0x07;
+const KIND_REQ_LEARN_PSDD: u8 = 0x08;
+const KIND_REQ_COMPILE_SPACE: u8 = 0x09;
+const KIND_REQ_COMPILE_CLASSIFIER: u8 = 0x0a;
+const KIND_REQ_OPTIMIZE: u8 = 0x0b;
+const KIND_REQ_TRACE: u8 = 0x0c;
 
 const KIND_RESP_PONG: u8 = 0x81;
 const KIND_RESP_COMPILED: u8 = 0x82;
@@ -138,12 +109,12 @@ const KIND_RESP_BATCH: u8 = 0x84;
 const KIND_RESP_STATS: u8 = 0x85;
 const KIND_RESP_SHUTTING_DOWN: u8 = 0x86;
 const KIND_RESP_ERROR: u8 = 0x87;
-const KIND_RESP_PIPELINED_BATCH: u8 = 0x88; // version 3
-const KIND_RESP_LEARNED: u8 = 0x89; // version 4
-const KIND_RESP_SPACE_COMPILED: u8 = 0x8a; // version 4
-const KIND_RESP_CLASSIFIER_COMPILED: u8 = 0x8b; // version 4
-const KIND_RESP_OPTIMIZED: u8 = 0x8c; // version 5
-const KIND_RESP_TRACED: u8 = 0x8d; // version 6
+const KIND_RESP_PIPELINED_BATCH: u8 = 0x88;
+const KIND_RESP_LEARNED: u8 = 0x89;
+const KIND_RESP_SPACE_COMPILED: u8 = 0x8a;
+const KIND_RESP_CLASSIFIER_COMPILED: u8 = 0x8b;
+const KIND_RESP_OPTIMIZED: u8 = 0x8c;
+const KIND_RESP_TRACED: u8 = 0x8d;
 
 /// Errors that make a frame (and usually the stream carrying it)
 /// unusable. Application-level failures travel as [`WireError`] instead.
@@ -155,11 +126,11 @@ pub enum ProtocolError {
     Disconnected,
     /// The frame does not start with the protocol magic.
     BadMagic([u8; 4]),
-    /// The peer speaks a protocol version this build cannot.
+    /// The frame is stamped with a version other than [`PROTOCOL_VERSION`].
     UnsupportedVersion {
         /// Version found in the frame header.
         found: u16,
-        /// Newest version this build understands.
+        /// The one version this build speaks.
         supported: u16,
     },
     /// The frame declares a payload larger than the configured ceiling.
@@ -198,7 +169,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             ProtocolError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported protocol version {found} (this build speaks up to {supported})"
+                "unsupported protocol version {found} (this build speaks only version {supported})"
             ),
             ProtocolError::FrameTooLarge { declared, max } => {
                 write!(
@@ -311,7 +282,7 @@ pub enum Request {
     /// Ask the server to shut down gracefully: stop accepting, drain
     /// in-flight work, join connection threads.
     Shutdown,
-    /// **Version 3.** A pipelined batch: many queries under one
+    /// A pipelined batch: many queries under one
     /// checksummed length prefix, tagged with a client-chosen request id.
     /// A connection may have any number of these in flight; the server
     /// answers each with a [`Response::PipelinedBatch`] echoing the id,
@@ -325,7 +296,7 @@ pub enum Request {
         /// The queries, answered in submission order within the batch.
         queries: Vec<Query>,
     },
-    /// **Version 4.** Learn (or fetch, if resident) a PSDD over this CNF
+    /// Learn (or fetch, if resident) a PSDD over this CNF
     /// support from a weighted complete dataset; answered with
     /// [`Response::Learned`] carrying the registry key.
     LearnPsdd {
@@ -336,7 +307,7 @@ pub enum Request {
         /// Weighted complete examples over the CNF's universe.
         data: Vec<(Assignment, f64)>,
     },
-    /// **Version 4.** Compile (or fetch) the structured space of simple
+    /// Compile (or fetch) the structured space of simple
     /// `s`–`t` paths of a graph; answered with [`Response::SpaceCompiled`].
     CompileSpace {
         /// Number of graph nodes.
@@ -349,18 +320,18 @@ pub enum Request {
         /// Target node.
         t: u32,
     },
-    /// **Version 4.** Compile (or fetch) a CNF as a classifier prepared
+    /// Compile (or fetch) a CNF as a classifier prepared
     /// for explanation queries; answered with
     /// [`Response::ClassifierCompiled`].
     CompileClassifier(Cnf),
-    /// **Version 5.** Minimize the circuit resident under `key` and, if a
+    /// Minimize the circuit resident under `key` and, if a
     /// strictly smaller bit-identical circuit is found, atomically swap
     /// it in under the same key; answered with [`Response::Optimized`].
     Optimize {
         /// Registry key from a [`Response::Compiled`].
         key: u64,
     },
-    /// **Version 6.** A force-sampled query carrying its trace context:
+    /// A force-sampled query carrying its trace context:
     /// answered like [`Request::Query`] (the answer is byte-identical to
     /// the untraced one) but with the server-side span tree attached in a
     /// [`Response::Traced`]. The server's root span parents onto
@@ -402,7 +373,7 @@ pub enum Response {
     ShuttingDown,
     /// The request failed; the connection remains usable.
     Error(WireError),
-    /// **Version 3.** Answer to [`Request::PipelinedBatch`]: the request
+    /// Answer to [`Request::PipelinedBatch`]: the request
     /// id echoed back with either every answer (in submission order) or
     /// the typed failure that rejected the whole batch. The connection
     /// remains usable either way.
@@ -412,7 +383,7 @@ pub enum Response {
         /// Answers in submission order, or the batch's typed failure.
         result: std::result::Result<Vec<QueryAnswer>, WireError>,
     },
-    /// **Version 4.** Answer to [`Request::LearnPsdd`].
+    /// Answer to [`Request::LearnPsdd`].
     Learned {
         /// Registry key addressing the learned PSDD in later requests.
         key: u64,
@@ -423,7 +394,7 @@ pub enum Response {
         /// Training-set log-likelihood under the learned parameters.
         log_likelihood: f64,
     },
-    /// **Version 4.** Answer to [`Request::CompileSpace`].
+    /// Answer to [`Request::CompileSpace`].
     SpaceCompiled {
         /// Registry key addressing the space in later requests.
         key: u64,
@@ -434,7 +405,7 @@ pub enum Response {
         /// Simple `s`–`t` paths the space contains.
         paths: u128,
     },
-    /// **Version 4.** Answer to [`Request::CompileClassifier`].
+    /// Answer to [`Request::CompileClassifier`].
     ClassifierCompiled {
         /// Registry key addressing the classifier in later requests.
         key: u64,
@@ -443,7 +414,7 @@ pub enum Response {
         /// Nodes in the compiled classifier.
         nodes: u32,
     },
-    /// **Version 6.** Answer to [`Request::Trace`]: the query's answer —
+    /// Answer to [`Request::Trace`]: the query's answer —
     /// bit-identical to what [`Response::Answer`] would carry — plus the
     /// collected server-side spans of the request's trace, parent-linked
     /// and sorted by start time.
@@ -453,7 +424,7 @@ pub enum Response {
         /// The server-side span tree, flat with parent links.
         spans: Vec<TraceSpanData>,
     },
-    /// **Version 5.** Answer to [`Request::Optimize`].
+    /// Answer to [`Request::Optimize`].
     Optimized {
         /// The key whose artifact was (maybe) minimized; unchanged.
         key: u64,
@@ -478,13 +449,12 @@ fn checksum(bytes: &[u8]) -> u64 {
 
 // ---------------------------------------------------------------- framing
 
-/// Writes one frame stamped with an explicit protocol version: header
-/// (with checksums) followed by the payload. Servers use this to echo the
-/// version of the request frame they are answering.
-fn write_frame_versioned(w: &mut impl Write, kind: u8, payload: &[u8], version: u16) -> Result<()> {
+/// Writes one frame stamped with [`PROTOCOL_VERSION`]: header (with
+/// checksums) followed by the payload.
+fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     header.push(kind);
     header.push(0);
     header.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -498,14 +468,9 @@ fn write_frame_versioned(w: &mut impl Write, kind: u8, payload: &[u8], version: 
     Ok(())
 }
 
-/// Writes one frame stamped with [`PROTOCOL_VERSION`].
-fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
-    write_frame_versioned(w, kind, payload, PROTOCOL_VERSION)
-}
-
 /// Verifies a complete header (magic, header checksum, version, length
-/// bound) and returns `(version, kind, payload_len)`.
-fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u16, u8, u32)> {
+/// bound) and returns `(kind, payload_len)`.
+fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u8, u32)> {
     if header[0..4] != MAGIC {
         return Err(ProtocolError::BadMagic(header[0..4].try_into().unwrap()));
     }
@@ -519,7 +484,7 @@ fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u16, u8, u32)> {
         });
     }
     let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version == 0 || version > PROTOCOL_VERSION {
+    if version != PROTOCOL_VERSION {
         return Err(ProtocolError::UnsupportedVersion {
             found: version,
             supported: PROTOCOL_VERSION,
@@ -533,7 +498,7 @@ fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u16, u8, u32)> {
             max: max_frame_len,
         });
     }
-    Ok((version, kind, payload_len))
+    Ok((kind, payload_len))
 }
 
 /// Verifies a payload checksum stored in `header` against `payload`.
@@ -550,17 +515,17 @@ fn check_payload(header: &[u8], payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads one frame, returning its header version, kind tag, and verified
-/// payload. Frames declaring more than `max_frame_len` payload bytes are
-/// rejected before the payload is allocated.
-fn read_frame(r: &mut impl Read, max_frame_len: u32) -> Result<(u16, u8, Vec<u8>)> {
+/// Reads one frame, returning its kind tag and verified payload. Frames
+/// declaring more than `max_frame_len` payload bytes are rejected before
+/// the payload is allocated.
+fn read_frame(r: &mut impl Read, max_frame_len: u32) -> Result<(u8, Vec<u8>)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let (version, kind, payload_len) = check_header(&header, max_frame_len)?;
+    let (kind, payload_len) = check_header(&header, max_frame_len)?;
     let mut payload = vec![0u8; payload_len as usize];
     r.read_exact(&mut payload)?;
     check_payload(&header, &payload)?;
-    Ok((version, kind, payload))
+    Ok((kind, payload))
 }
 
 /// Outcome of scanning an in-memory byte buffer for one complete frame
@@ -578,8 +543,6 @@ pub enum FrameScan {
     },
     /// One verified frame.
     Frame {
-        /// Protocol version stamped in the frame header.
-        version: u16,
         /// Frame kind tag.
         kind: u8,
         /// Verified payload bytes.
@@ -601,7 +564,7 @@ pub fn scan_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameScan> {
         return Ok(FrameScan::Incomplete { need: HEADER_LEN });
     }
     let header = &buf[..HEADER_LEN];
-    let (version, kind, payload_len) = check_header(header, max_frame_len)?;
+    let (kind, payload_len) = check_header(header, max_frame_len)?;
     let total = HEADER_LEN + payload_len as usize;
     if buf.len() < total {
         return Ok(FrameScan::Incomplete { need: total });
@@ -609,7 +572,6 @@ pub fn scan_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameScan> {
     let payload = &buf[HEADER_LEN..total];
     check_payload(header, payload)?;
     Ok(FrameScan::Frame {
-        version,
         kind,
         payload: payload.to_vec(),
         consumed: total,
@@ -888,7 +850,7 @@ const QUERY_MODEL_COUNT_UNDER: u8 = 2;
 const QUERY_WMC: u8 = 3;
 const QUERY_MARGINALS: u8 = 4;
 const QUERY_MAX_WEIGHT: u8 = 5;
-// Version 4: role-2/3 queries against typed artifacts.
+// Role-2/3 queries against typed artifacts.
 const QUERY_PSDD_LOG_LIKELIHOOD: u8 = 6;
 const QUERY_PSDD_MARGINAL: u8 = 7;
 const QUERY_SPACE_COUNT: u8 = 8;
@@ -985,7 +947,7 @@ const ANSWER_MODEL_COUNT: u8 = 1;
 const ANSWER_WMC: u8 = 2;
 const ANSWER_MARGINALS: u8 = 3;
 const ANSWER_MAX_WEIGHT: u8 = 4;
-// Version 4: role-2/3 answers.
+// Role-2/3 answers.
 const ANSWER_LOG_LIKELIHOOD: u8 = 5;
 const ANSWER_PROBABILITY: u8 = 6;
 const ANSWER_REASON: u8 = 7;
@@ -1241,8 +1203,6 @@ fn decode_metrics(d: &mut Dec) -> Result<MetricsDump> {
 }
 
 fn encode_stats(e: &mut Enc, s: &StatsSnapshot) {
-    // Version-1 prefix — field order is load-bearing; a prefix-tolerant
-    // version-1 reader decodes exactly these bytes and stops.
     e.u64(s.registry.hits);
     e.u64(s.registry.misses);
     e.u64(s.registry.evictions);
@@ -1251,7 +1211,6 @@ fn encode_stats(e: &mut Enc, s: &StatsSnapshot) {
     e.u64(s.max_retained_nodes as u64);
     e.u32(s.workers as u32);
     e.u64(s.queue_depth as u64);
-    // Version-2 observability extension.
     e.u64(s.uptime_ms);
     e.u32(s.requests_served.len() as u32);
     for (kind, count) in &s.requests_served {
@@ -1263,9 +1222,8 @@ fn encode_stats(e: &mut Enc, s: &StatsSnapshot) {
     encode_metrics(e, &s.metrics);
 }
 
-/// Decodes the version-1 stats fields, leaving the extension at default.
-fn decode_stats_prefix(d: &mut Dec) -> Result<StatsSnapshot> {
-    Ok(StatsSnapshot {
+fn decode_stats(d: &mut Dec) -> Result<StatsSnapshot> {
+    let mut s = StatsSnapshot {
         registry: RegistryStats {
             hits: d.u64()?,
             misses: d.u64()?,
@@ -1276,13 +1234,9 @@ fn decode_stats_prefix(d: &mut Dec) -> Result<StatsSnapshot> {
         max_retained_nodes: d.u64()? as usize,
         workers: d.u32()? as usize,
         queue_depth: d.u64()? as usize,
+        uptime_ms: d.u64()?,
         ..StatsSnapshot::default()
-    })
-}
-
-fn decode_stats(d: &mut Dec) -> Result<StatsSnapshot> {
-    let mut s = decode_stats_prefix(d)?;
-    s.uptime_ms = d.u64()?;
+    };
     let declared = d.u32()?;
     // Each per-kind entry carries a name length (4) and a count (8).
     let n = d.counted(declared, 12)?;
@@ -1297,21 +1251,6 @@ fn decode_stats(d: &mut Dec) -> Result<StatsSnapshot> {
     s.connections_active = d.u64()?;
     s.metrics = decode_metrics(d)?;
     Ok(s)
-}
-
-/// Decodes only the **version-1 prefix** of a stats payload, ignoring any
-/// extension bytes that follow — byte-for-byte what a version-1
-/// `decode_stats` consumed.
-///
-/// This is how a forward-tolerant old client reads a version-2 stats
-/// payload: the legacy eight fields sit unchanged at the front, so a
-/// reader that stops after them (rather than demanding payload
-/// exhaustion) keeps working across the version bump. It exists as a
-/// public entry point so compatibility tests can prove the prefix never
-/// drifts.
-pub fn decode_stats_v1_prefix(payload: &[u8]) -> Result<StatsSnapshot> {
-    let mut d = Dec::new(payload);
-    decode_stats_prefix(&mut d)
 }
 
 // ------------------------------------------------------- public surface
@@ -1691,7 +1630,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
 
 /// Reads one request frame, rejecting payloads over `max_frame_len`.
 pub fn read_request(r: &mut impl Read, max_frame_len: u32) -> Result<Request> {
-    let (_, kind, payload) = read_frame(r, max_frame_len)?;
+    let (kind, payload) = read_frame(r, max_frame_len)?;
     Request::decode(kind, &payload)
 }
 
@@ -1701,18 +1640,9 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
     write_frame(w, kind, &payload)
 }
 
-/// Writes one response frame stamped with an explicit protocol version —
-/// how the server echoes the version of the request frame it is
-/// answering, so a version-2 client never has to decode a version-3
-/// header. The version is clamped to `1..=`[`PROTOCOL_VERSION`].
-pub fn write_response_versioned(w: &mut impl Write, resp: &Response, version: u16) -> Result<()> {
-    let (kind, payload) = resp.encode();
-    write_frame_versioned(w, kind, &payload, version.clamp(1, PROTOCOL_VERSION))
-}
-
 /// Reads one response frame, rejecting payloads over `max_frame_len`.
 pub fn read_response(r: &mut impl Read, max_frame_len: u32) -> Result<Response> {
-    let (_, kind, payload) = read_frame(r, max_frame_len)?;
+    let (kind, payload) = read_frame(r, max_frame_len)?;
     Response::decode(kind, &payload)
 }
 
@@ -2045,7 +1975,6 @@ mod tests {
 
         // The full buffer yields both frames back-to-back.
         let FrameScan::Frame {
-            version,
             kind,
             payload,
             consumed,
@@ -2053,7 +1982,6 @@ mod tests {
         else {
             panic!("expected a frame");
         };
-        assert_eq!(version, PROTOCOL_VERSION);
         assert_eq!(Request::decode(kind, &payload).unwrap(), req);
         let FrameScan::Frame {
             kind: kind2,
@@ -2077,47 +2005,6 @@ mod tests {
             scan_frame(&bytes[..HEADER_LEN], DEFAULT_MAX_FRAME_LEN),
             Err(ProtocolError::BadMagic(_))
         ));
-    }
-
-    #[test]
-    fn response_version_echo_round_trips_for_v2_clients() {
-        // A server answering a version-2 request stamps the response with
-        // version 2; a reader that only accepts `1..=2` must still verify
-        // and decode it. Simulate that reader by checking the header bytes.
-        let resp = Response::Answer(QueryAnswer::ModelCount(99));
-        let mut bytes = Vec::new();
-        write_response_versioned(&mut bytes, &resp, 2).unwrap();
-        assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 2);
-        let back = read_response(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap();
-        assert_eq!(back, resp);
-        // Versions are clamped so a bogus stamp can never poison a stream.
-        let mut clamped = Vec::new();
-        write_response_versioned(&mut clamped, &resp, 999).unwrap();
-        assert_eq!(
-            u16::from_le_bytes(clamped[4..6].try_into().unwrap()),
-            PROTOCOL_VERSION
-        );
-    }
-
-    #[test]
-    fn stats_v1_prefix_survives_the_version_bump() {
-        // Encode a full version-2 stats payload, then decode it the way a
-        // prefix-tolerant version-1 client would: legacy fields intact,
-        // extension ignored.
-        let full = test_stats();
-        let mut bytes = Vec::new();
-        write_response(&mut bytes, &Response::Stats(full.clone())).unwrap();
-        let legacy = decode_stats_v1_prefix(&bytes[HEADER_LEN..]).unwrap();
-        assert_eq!(legacy.registry, full.registry);
-        assert_eq!(legacy.artifacts, full.artifacts);
-        assert_eq!(legacy.retained_nodes, full.retained_nodes);
-        assert_eq!(legacy.max_retained_nodes, full.max_retained_nodes);
-        assert_eq!(legacy.workers, full.workers);
-        assert_eq!(legacy.queue_depth, full.queue_depth);
-        // The extension is invisible to the legacy view.
-        assert_eq!(legacy.uptime_ms, 0);
-        assert!(legacy.requests_served.is_empty());
-        assert!(legacy.metrics.metrics.is_empty());
     }
 
     #[test]

@@ -19,27 +19,35 @@
 //!   its `server.idle_wakeups` counter) is gone; shutdown and completed
 //!   work arrive through a per-reactor eventfd [`crate::reactor::Waker`];
 //! * **pipelining**: a connection may have any number of frames in
-//!   flight. Pre-version-3 request kinds are answered strictly in arrival
-//!   order (a reorder buffer holds responses that complete early);
-//!   [`Request::PipelinedBatch`] frames carry a client-chosen id and are
-//!   answered the moment they complete, out of order. All pipelined
-//!   frames that arrive in one readiness drain for the same registry key
-//!   are **coalesced into a single executor submission**, so the engine's
-//!   lane-batched kernels see one big batch instead of many small ones;
+//!   flight. Every request kind except [`Request::PipelinedBatch`] is
+//!   answered strictly in arrival order (a reorder buffer holds responses
+//!   that complete early); pipelined frames carry a client-chosen id and
+//!   are answered the moment they complete, out of order;
+//! * **one query path**: every query-bearing frame (`Query`, `Batch`,
+//!   `Trace`, `PipelinedBatch`) that arrives in one readiness drain is
+//!   staged as a segment of a per-(registry key, trace context) group, and
+//!   each group is **one executor submission**, so the engine's
+//!   lane-batched kernels see one big batch instead of many small ones.
+//!   On completion the outcomes are split back per segment and each is
+//!   framed the way its request asked;
 //! * a **bounded submission queue** guards the shared [`Engine`]: each
 //!   admitted query holds one unit of [`ServerConfig::queue_capacity`]
 //!   until answered. A frame that would exceed the bound is rejected with
 //!   a typed [`WireError::Overloaded`] response — backpressure, not
 //!   buffering — and the connection stays usable;
+//! * **one build path**: artifact builds (compile, learn, space,
+//!   classifier, optimize) each run on their own thread through one spawn
+//!   function, so a long build never stalls the reactor;
 //! * **graceful shutdown** ([`ServerHandle::shutdown`], or a wire
 //!   [`Request::Shutdown`]) stops accepting, stops reading, lets every
 //!   in-flight request finish and flush its response, then joins the
-//!   accept thread, every reactor, and any outstanding compile threads.
+//!   accept thread, every reactor, and any outstanding build threads.
 //!
-//! Protocol-level failures (corrupt frame, oversized length prefix,
-//! version skew) are answered with a typed [`Response::Error`] frame where
-//! the stream still permits one, and the connection is closed — a broken
-//! framing layer cannot be resynchronized.
+//! Protocol-level failures (corrupt frame, oversized length prefix, a
+//! version other than [`crate::protocol::PROTOCOL_VERSION`]) are answered
+//! with a typed [`Response::Error`] frame where the stream still permits
+//! one, and the connection is closed — a broken framing layer cannot be
+//! resynchronized.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -52,12 +60,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    scan_frame, write_response_versioned, FrameScan, Request, Response, WireError,
-    DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    scan_frame, write_response, FrameScan, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::reactor::{Event, Reactor, Waker};
-use trl_engine::{Artifact, Engine, EngineError, Query, QueryOutcome};
-use trl_obs::{TraceContext, TraceSpanData};
+use trl_engine::{Artifact, Engine, EngineError, Query, QueryAnswer, QueryOutcome};
+use trl_obs::{ForcedTracing, TraceContext, TraceSpanData};
 
 /// Tunables for a [`Server`]. The defaults suit tests and small
 /// deployments; serving real traffic wants them set explicitly.
@@ -177,13 +184,13 @@ impl Gate {
 
 /// One encoded response frame headed back to a connection.
 ///
-/// `seq` is `Some` for pre-version-3 request kinds, which the server
-/// answers strictly in arrival order (the sequence number is the
-/// request's arrival index on its connection); `None` for pipelined
-/// responses, which are written the moment they complete.
+/// `seq` is `Some` for ordered request kinds, which the server answers
+/// strictly in arrival order (the sequence number is the request's
+/// arrival index on its connection); `None` for pipelined responses,
+/// which are written the moment they complete.
 type ResponseFrame = (Option<u64>, Vec<u8>);
 
-/// A completed piece of offloaded work (an executor batch or a compile),
+/// A completed piece of offloaded work (an executor batch or a build),
 /// routed back to the owning reactor through its inbox.
 struct Completion {
     /// The connection's registration token; stale tokens (the connection
@@ -193,7 +200,7 @@ struct Completion {
 }
 
 /// What other threads hand a reactor: fresh connections from the accept
-/// thread, completions from executor workers and compile threads.
+/// thread, completions from executor workers and build threads.
 #[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
@@ -237,7 +244,7 @@ struct Shared {
     /// Queries admitted into the engine and not yet answered.
     admitted: AtomicUsize,
     reactors: Vec<Arc<ReactorShared>>,
-    /// Reactor threads plus any in-flight compile threads.
+    /// Reactor threads plus any in-flight build threads.
     threads: Mutex<Vec<JoinHandle<()>>>,
     served: AtomicU64,
     overloaded: AtomicU64,
@@ -290,7 +297,7 @@ impl Shared {
         self.admitted.fetch_sub(n, Ordering::AcqRel);
     }
 
-    /// Tracks a spawned thread (reactor or offloaded compile), reaping
+    /// Tracks a spawned thread (reactor or offloaded build), reaping
     /// finished handles so a long-lived server's list stays bounded.
     fn track_thread(&self, handle: JoinHandle<()>) {
         let mut threads = self.threads.lock().unwrap_or_else(|p| p.into_inner());
@@ -513,13 +520,10 @@ struct Conn {
     /// Staged outbound bytes; `outpos` marks the flushed prefix.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Version stamped on the most recent request frame; responses echo
-    /// it so a version-2 client never sees a version-3 header.
-    version: u16,
-    /// Offloaded work items (executor batches, compiles) not yet
-    /// delivered back as completions.
+    /// Offloaded work items (executor batches, builds) not yet delivered
+    /// back as completions.
     in_flight: usize,
-    /// Arrival index handed to the next ordered (pre-v3) request.
+    /// Arrival index handed to the next ordered request.
     next_seq: u64,
     /// The ordered sequence number allowed to enter `outbuf` next.
     next_enqueue: u64,
@@ -543,9 +547,20 @@ struct Conn {
 }
 
 impl Conn {
-    /// Stages an ordered response, releasing any held successors that
-    /// become eligible.
-    fn enqueue_ordered(&mut self, seq: u64, bytes: Vec<u8>) {
+    /// Hands out the arrival index of the next ordered request.
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Stages a response frame: a pipelined one goes straight to the
+    /// write buffer; an ordered one waits for its turn, releasing any held
+    /// successors that become eligible.
+    fn enqueue(&mut self, (seq, bytes): ResponseFrame) {
+        let Some(seq) = seq else {
+            self.outbuf.extend_from_slice(&bytes);
+            return;
+        };
         self.held.insert(seq, bytes);
         while let Some(bytes) = self.held.remove(&self.next_enqueue) {
             self.outbuf.extend_from_slice(&bytes);
@@ -613,15 +628,6 @@ impl Slab {
     }
 }
 
-/// Pipelined frames from one readiness drain, grouped per registry key so
-/// the executor sees one submission per (connection, key) instead of one
-/// per frame.
-struct PipelineGroup {
-    artifact: Artifact,
-    /// `(request id, that frame's queries)` in arrival order.
-    segments: Vec<(u64, Vec<Query>)>,
-}
-
 fn reactor_loop(idx: usize, shared: &Arc<Shared>) {
     let rshared = Arc::clone(&shared.reactors[idx]);
     let reactor = match Reactor::new() {
@@ -670,11 +676,8 @@ fn reactor_loop(idx: usize, shared: &Arc<Shared>) {
             shared
                 .served
                 .fetch_add(completion.frames.len() as u64, Ordering::Relaxed);
-            for (seq, bytes) in completion.frames {
-                match seq {
-                    Some(seq) => conn.enqueue_ordered(seq, bytes),
-                    None => conn.outbuf.extend_from_slice(&bytes),
-                }
+            for frame in completion.frames {
+                conn.enqueue(frame);
             }
             flush(conn);
             let slot = (completion.token & 0xffff_ffff) as usize;
@@ -802,7 +805,6 @@ fn register_conn(
         inpos: 0,
         outbuf: Vec::new(),
         outpos: 0,
-        version: PROTOCOL_VERSION,
         in_flight: 0,
         next_seq: 0,
         next_enqueue: 0,
@@ -897,20 +899,18 @@ fn read_drain(
 }
 
 /// Peels complete frames off the read buffer, dispatches each, and
-/// submits the drain's coalesced pipelined groups to the executor.
+/// submits the drain's staged query groups to the executor.
 fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorShared>) {
-    let mut groups: Vec<(u64, PipelineGroup)> = Vec::new();
+    let mut groups: Vec<QueryGroup> = Vec::new();
     while !conn.read_closed && !conn.broken {
         match scan_frame(&conn.inbuf[conn.inpos..], shared.config.max_frame_len) {
             Ok(FrameScan::Incomplete { .. }) => break,
             Ok(FrameScan::Frame {
-                version,
                 kind,
                 payload,
                 consumed,
             }) => {
                 conn.inpos += consumed;
-                conn.version = version;
                 match Request::decode(kind, &payload) {
                     Ok(request) => dispatch(conn, request, &mut groups, shared, rshared),
                     Err(e) => protocol_reject(conn, &e.to_string()),
@@ -939,37 +939,35 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorSh
     } else {
         Some(Instant::now())
     };
-    for (_key, group) in groups {
-        submit_pipeline_group(conn, group, shared, rshared);
+    for group in groups {
+        submit(conn, group, shared, rshared);
     }
     flush(conn);
 }
 
 /// Typed rejection, then drain-and-close: framing cannot resync.
 fn protocol_reject(conn: &mut Conn, message: &str) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
+    let seq = conn.take_seq();
     let resp = Response::Error(WireError::Invalid(message.to_string()));
-    conn.enqueue_ordered(seq, encode_response(&resp, conn.version));
+    conn.enqueue((Some(seq), encode_response(&resp)));
     conn.read_closed = true;
 }
 
-/// Encodes a response stamped with the connection's negotiated version.
-fn encode_response(resp: &Response, version: u16) -> Vec<u8> {
+fn encode_response(resp: &Response) -> Vec<u8> {
     let mut bytes = Vec::new();
     // Writing into a Vec cannot fail.
-    let _ = write_response_versioned(&mut bytes, resp, version);
+    let _ = write_response(&mut bytes, resp);
     bytes
 }
 
-/// Handles one decoded request. Inline kinds (ping, stats, shutdown,
-/// rejections) answer immediately; compiles offload to a thread; queries
-/// go to the executor — pre-v3 kinds individually and in order, pipelined
-/// batches out-of-order and coalesced per key via `groups`.
+/// Handles one decoded request. Inline kinds (ping, stats, shutdown)
+/// answer immediately; builds offload to a thread ([`spawn_build`]);
+/// query-bearing kinds are staged into this drain's `groups` ([`stage`])
+/// and submitted once the drain ends.
 fn dispatch(
     conn: &mut Conn,
     request: Request,
-    groups: &mut Vec<(u64, PipelineGroup)>,
+    groups: &mut Vec<QueryGroup>,
     shared: &Arc<Shared>,
     rshared: &Arc<ReactorShared>,
 ) {
@@ -997,128 +995,50 @@ fn dispatch(
             conn.read_closed = true;
             shared.begin_shutdown();
         }
-        Request::Compile(cnf) => {
-            trl_obs::counter!("server.requests.compile").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
-                }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_compile(conn.token, seq, conn.version, cnf, shared, rshared);
-                }
-            }
-        }
         Request::Query { key, query } => {
             trl_obs::counter!("server.requests.query").inc();
-            submit_ordered(conn, key, vec![query], true, shared, rshared);
+            let reply = Reply::Answer(conn.take_seq());
+            stage(conn, reply, key, vec![query], groups, shared);
         }
         Request::Batch { key, queries } => {
             trl_obs::counter!("server.requests.batch").inc();
-            submit_ordered(conn, key, queries, false, shared, rshared);
+            let reply = Reply::Batch(conn.take_seq());
+            stage(conn, reply, key, queries, groups, shared);
+        }
+        Request::Trace { ctx, key, query } => {
+            trl_obs::counter!("server.requests.trace").inc();
+            let reply = Reply::Traced {
+                seq: conn.take_seq(),
+                client: ctx,
+            };
+            stage(conn, reply, key, vec![query], groups, shared);
         }
         Request::PipelinedBatch { id, key, queries } => {
             trl_obs::counter!("server.requests.pipeline").inc();
             trl_obs::histogram!("server.pipeline.batch_size").record_us(queries.len() as u64);
-            stage_pipelined(conn, id, key, queries, groups, shared);
+            stage(conn, Reply::Pipelined(id), key, queries, groups, shared);
         }
-        Request::LearnPsdd { cnf, alpha, data } => {
-            trl_obs::counter!("server.requests.learn").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
+        request @ (Request::Compile(_)
+        | Request::LearnPsdd { .. }
+        | Request::CompileSpace { .. }
+        | Request::CompileClassifier(_)
+        | Request::Optimize { .. }) => {
+            let kind = build_kind(&request);
+            trl_obs::counter(&format!("server.requests.{kind}")).inc();
+            let admitted = match request {
+                // Reject an unknown key on the reactor thread: no admission
+                // slot or build thread for a request that cannot do work.
+                Request::Optimize { key } if shared.engine.get(key).is_none() => {
+                    Err(WireError::UnknownKey(key))
                 }
+                _ => shared.try_admit(1),
+            };
+            match admitted {
                 Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_learn(
-                        conn.token,
-                        seq,
-                        conn.version,
-                        cnf,
-                        alpha,
-                        data,
-                        shared,
-                        rshared,
-                    );
+                    let seq = conn.take_seq();
+                    spawn_build(conn, seq, kind, request, shared, rshared);
                 }
-            }
-        }
-        Request::CompileSpace {
-            num_nodes,
-            edges,
-            s,
-            t,
-        } => {
-            trl_obs::counter!("server.requests.space").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
-                }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_space(
-                        conn.token,
-                        seq,
-                        conn.version,
-                        num_nodes,
-                        edges,
-                        s,
-                        t,
-                        shared,
-                        rshared,
-                    );
-                }
-            }
-        }
-        Request::CompileClassifier(cnf) => {
-            trl_obs::counter!("server.requests.classifier").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
-                }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_classifier(conn.token, seq, conn.version, cnf, shared, rshared);
-                }
-            }
-        }
-        Request::Trace { ctx, key, query } => {
-            trl_obs::counter!("server.requests.trace").inc();
-            submit_traced(conn, ctx, key, query, shared, rshared);
-        }
-        Request::Optimize { key } => {
-            trl_obs::counter!("server.requests.optimize").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            // Reject an unknown key on the reactor thread: no admission
-            // slot or build thread for a request that cannot do work.
-            if shared.engine.get(key).is_none() {
-                let bytes =
-                    encode_response(&Response::Error(WireError::UnknownKey(key)), conn.version);
-                enqueue_seq(conn, shared, seq, bytes);
-                return;
-            }
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
-                }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_optimize(conn.token, seq, conn.version, key, shared, rshared);
-                }
+                Err(e) => respond_inline(conn, shared, &Response::Error(e)),
             }
         }
     }
@@ -1127,77 +1047,148 @@ fn dispatch(
 /// Stages an inline (order-preserving) response produced on the reactor
 /// thread itself.
 fn respond_inline(conn: &mut Conn, shared: &Arc<Shared>, resp: &Response) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    let bytes = encode_response(resp, conn.version);
-    enqueue_seq(conn, shared, seq, bytes);
+    let seq = conn.take_seq();
+    answer_now(conn, shared, (Some(seq), encode_response(resp)));
 }
 
-fn enqueue_seq(conn: &mut Conn, shared: &Arc<Shared>, seq: u64, bytes: Vec<u8>) {
+/// Stages a response produced on the reactor thread.
+fn answer_now(conn: &mut Conn, shared: &Arc<Shared>, frame: ResponseFrame) {
     shared.served.fetch_add(1, Ordering::Relaxed);
-    conn.enqueue_ordered(seq, bytes);
+    conn.enqueue(frame);
 }
 
-/// Stages an out-of-order pipelined response.
-fn enqueue_pipelined(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    id: u64,
-    result: Result<Vec<trl_engine::QueryAnswer>, WireError>,
-) {
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    let resp = Response::PipelinedBatch { id, result };
-    let bytes = encode_response(&resp, conn.version);
-    conn.outbuf.extend_from_slice(&bytes);
+/// How one staged segment's answers go back on the wire: the request kind
+/// that carried the queries decides the response framing.
+#[derive(Clone, Copy)]
+enum Reply {
+    /// A [`Request::PipelinedBatch`]: out of order, under the client's id.
+    Pipelined(u64),
+    /// A [`Request::Query`]: one ordered [`Response::Answer`] at `seq`.
+    Answer(u64),
+    /// A [`Request::Batch`]: one ordered [`Response::Batch`] at `seq`.
+    Batch(u64),
+    /// A [`Request::Trace`]: one ordered [`Response::Traced`] at `seq`,
+    /// its span tree rooted under the client's context.
+    Traced { seq: u64, client: TraceContext },
 }
 
-/// Validates, admits, and stages one pipelined frame into this drain's
-/// coalesced groups; failures answer immediately without touching the
-/// rest of the drain.
-fn stage_pipelined(
+impl Reply {
+    /// The name this request kind carries in the slow-query log.
+    fn kind(self) -> &'static str {
+        match self {
+            Reply::Pipelined(_) => "pipeline",
+            Reply::Answer(_) => "query",
+            Reply::Batch(_) => "batch",
+            Reply::Traced { .. } => "trace",
+        }
+    }
+
+    /// Frames a result for this segment. A traced segment's answers frame
+    /// as a plain [`Response::Answer`] — what an untraced request writes;
+    /// the [`Response::Traced`] frame is built once its span tree is
+    /// collected.
+    fn frame(self, result: Result<Vec<QueryAnswer>, WireError>) -> ResponseFrame {
+        let (seq, resp) = match (self, result) {
+            (Reply::Pipelined(id), result) => (None, Response::PipelinedBatch { id, result }),
+            (Reply::Answer(seq) | Reply::Batch(seq) | Reply::Traced { seq, .. }, Err(e)) => {
+                (Some(seq), Response::Error(e))
+            }
+            (Reply::Batch(seq), Ok(answers)) => (Some(seq), Response::Batch(answers)),
+            (Reply::Answer(seq) | Reply::Traced { seq, .. }, Ok(answers)) => {
+                (Some(seq), single_answer(answers, Response::Answer))
+            }
+        };
+        (seq, encode_response(&resp))
+    }
+}
+
+/// The response for a single-query request: `wrap` applied to its one
+/// answer. A single query always yields one outcome; guard anyway rather
+/// than panic on a worker thread.
+fn single_answer(
+    answers: Vec<QueryAnswer>,
+    wrap: impl FnOnce(QueryAnswer) -> Response,
+) -> Response {
+    match answers.into_iter().next() {
+        Some(answer) => wrap(answer),
+        None => Response::Error(WireError::Engine("empty batch result".into())),
+    }
+}
+
+/// Query-bearing frames from one readiness drain, grouped per (registry
+/// key, trace context) so the executor sees one submission per group
+/// instead of one per frame. Only a [`Request::Trace`] brings a context
+/// at staging time, and it is freshly adopted, so every traced request
+/// gets a group — and a submission — of its own.
+struct QueryGroup {
+    key: u64,
+    artifact: Artifact,
+    /// The forced context of a traced request's group.
+    ctx: Option<TraceContext>,
+    /// Keeps recording on for a traced request until its tree is
+    /// collected, whatever the sampling rate.
+    forced: Option<ForcedTracing>,
+    /// `(reply framing, that request's queries)` in arrival order.
+    segments: Vec<(Reply, Vec<Query>)>,
+}
+
+/// Admits, resolves and validates one query-bearing request and stages it
+/// into this drain's groups. A request that fails a step is answered at
+/// once with its typed error and leaves the rest of the drain untouched;
+/// validating per request up front means one malformed frame cannot
+/// poison the coalesced submission its neighbors ride in.
+fn stage(
     conn: &mut Conn,
-    id: u64,
+    reply: Reply,
     key: u64,
     queries: Vec<Query>,
-    groups: &mut Vec<(u64, PipelineGroup)>,
+    groups: &mut Vec<QueryGroup>,
     shared: &Arc<Shared>,
 ) {
-    if queries.is_empty() {
-        enqueue_pipelined(conn, shared, id, Ok(Vec::new()));
+    if queries.is_empty() && matches!(reply, Reply::Pipelined(_)) {
+        // A zero-length pipelined frame is a legal no-op.
+        answer_now(conn, shared, reply.frame(Ok(Vec::new())));
         return;
     }
-    if let Err(e) = shared.try_admit(queries.len()) {
-        enqueue_pipelined(conn, shared, id, Err(e));
+    let n = queries.len();
+    if let Err(e) = shared.try_admit(n) {
+        answer_now(conn, shared, reply.frame(Err(e)));
         return;
     }
-    let artifact = match groups.iter().find(|(k, _)| *k == key) {
-        Some((_, g)) => g.artifact.clone(),
-        None => match shared.engine.get(key) {
-            Some(a) => a,
-            None => {
-                shared.release_admitted(queries.len());
-                enqueue_pipelined(conn, shared, id, Err(WireError::UnknownKey(key)));
-                return;
-            }
-        },
+    let artifact = match groups.iter().find(|g| g.key == key) {
+        Some(g) => Some(g.artifact.clone()),
+        None => shared.engine.get(key),
     };
-    // Per-frame validation up front (kind match and universe cover), so
-    // one malformed frame cannot poison the coalesced submission its
-    // neighbors ride in.
-    if let Err(e) = queries.iter().try_for_each(|q| artifact.validate(q)) {
-        shared.release_admitted(queries.len());
-        enqueue_pipelined(conn, shared, id, Err(engine_error_to_wire(e)));
-        return;
-    }
-    match groups.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, g)) => g.segments.push((id, queries)),
-        None => groups.push((
+    let checked = artifact.ok_or(WireError::UnknownKey(key)).and_then(|a| {
+        queries
+            .iter()
+            .try_for_each(|q| a.validate(q))
+            .map_err(engine_error_to_wire)?;
+        Ok(a)
+    });
+    let artifact = match checked {
+        Ok(a) => a,
+        Err(e) => {
+            shared.release_admitted(n);
+            answer_now(conn, shared, reply.frame(Err(e)));
+            return;
+        }
+    };
+    // A traced request adopts the client's trace id with a fresh root
+    // span for the server's subtree.
+    let ctx = match reply {
+        Reply::Traced { client, .. } => Some(TraceContext::adopt(client.trace_id)),
+        _ => None,
+    };
+    match groups.iter_mut().find(|g| g.key == key && g.ctx == ctx) {
+        Some(g) => g.segments.push((reply, queries)),
+        None => groups.push(QueryGroup {
             key,
-            PipelineGroup {
-                artifact,
-                segments: vec![(id, queries)],
-            },
-        )),
+            artifact,
+            ctx,
+            forced: ctx.map(|_| trl_obs::force_tracing()),
+            segments: vec![(reply, queries)],
+        }),
     }
 }
 
@@ -1208,305 +1199,188 @@ fn engine_error_to_wire(e: EngineError) -> WireError {
     }
 }
 
-/// Submits one coalesced pipelined group: every staged frame's queries as
-/// a single executor batch, split back per frame on completion.
-fn submit_pipeline_group(
-    conn: &mut Conn,
-    group: PipelineGroup,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
+/// Submits one staged group as a single executor batch. On completion the
+/// outcomes are split back per segment, each segment's reply is encoded,
+/// and — for a sampled or traced group — the request's root span closes
+/// the tree. The one place the server hands queries to the executor.
+fn submit(conn: &mut Conn, group: QueryGroup, shared: &Arc<Shared>, rshared: &Arc<ReactorShared>) {
+    let QueryGroup {
+        artifact,
+        ctx,
+        forced,
+        segments,
+        ..
+    } = group;
+    let replies: Vec<(Reply, usize)> = segments.iter().map(|(r, q)| (*r, q.len())).collect();
+    let total: usize = replies.iter().map(|(_, n)| n).sum();
+    let queries: Vec<Query> = segments.into_iter().flat_map(|(_, q)| q).collect();
+    // The client's span parents a traced request's root; a sampled one
+    // is rooted locally.
+    let parent = match replies[0].0 {
+        Reply::Traced { client, .. } => client.span_id,
+        _ => 0,
+    };
+    let ctx = ctx.or_else(trl_obs::maybe_sample);
+    let drain_start = conn.drain_start;
+    if let Some(ctx) = ctx {
+        trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
+    }
     let token = conn.token;
-    let version = conn.version;
-    let lens: Vec<(u64, usize)> = group
-        .segments
-        .iter()
-        .map(|(id, q)| (*id, q.len()))
-        .collect();
-    let ids: Vec<u64> = lens.iter().map(|(id, _)| *id).collect();
-    let total: usize = lens.iter().map(|(_, n)| n).sum();
-    let queries: Vec<Query> = group.segments.into_iter().flat_map(|(_, q)| q).collect();
     let cb_shared = Arc::clone(shared);
     let cb_rshared = Arc::clone(rshared);
     let submitted = Instant::now();
     let slow_query = shared.config.slow_query;
-    let drain_start = conn.drain_start;
-    let ctx = trl_obs::maybe_sample();
-    if let Some(ctx) = ctx {
-        trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
-    }
-    let result = shared.engine.submit_artifact_batch_traced(
-        &group.artifact,
-        queries,
-        ctx,
-        move |outcomes| {
-            cb_shared.release_admitted(total);
-            let handle_time = submitted.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            let mut frames = Vec::with_capacity(lens.len());
-            let mut outcomes = outcomes.into_iter();
-            for &(id, len) in &lens {
-                let answers: Vec<_> = outcomes.by_ref().take(len).map(|o| o.answer).collect();
-                trl_obs::histogram!("server.service_us").record(handle_time);
-                trl_obs::histogram!("server.request_us").record(handle_time);
-                let resp = Response::PipelinedBatch {
-                    id,
-                    result: Ok(answers),
-                };
-                frames.push((None, encode_response(&resp, version)));
-            }
-            if let Some(ctx) = ctx {
-                trl_obs::record_root_span(
-                    ctx,
-                    0,
-                    "server.request",
-                    drain_start,
-                    drain_start.elapsed(),
-                );
-            }
-            if let Some(threshold) = slow_query {
-                if handle_time > threshold {
-                    let spans = ctx.map_or_else(Vec::new, |c| trl_obs::collect_trace(c.trace_id));
-                    log_slow_query("pipeline", handle_time, &spans);
+    let fallback: Vec<Reply> = replies.iter().map(|(r, _)| *r).collect();
+    let on_done = move |outcomes: Vec<QueryOutcome>| {
+        cb_shared.release_admitted(total);
+        let handle_time = submitted.elapsed();
+        trl_obs::record_span("server.handle", handle_time);
+        let wstart = Instant::now();
+        let mut frames = Vec::with_capacity(replies.len());
+        let mut traced = None;
+        let mut outcomes = outcomes.into_iter();
+        for &(reply, len) in &replies {
+            trl_obs::histogram!("server.service_us").record(handle_time);
+            trl_obs::histogram!("server.request_us").record(handle_time);
+            let answers: Vec<QueryAnswer> = outcomes.by_ref().take(len).map(|o| o.answer).collect();
+            match reply {
+                // The traced frame cannot contain the cost of its own
+                // encode, so the plain answer frame is encoded as the
+                // write probe and the answer waits for its span tree.
+                Reply::Traced { seq, .. } => {
+                    drop(reply.frame(Ok(answers.clone())));
+                    traced = Some((seq, answers));
                 }
+                _ => frames.push(reply.frame(Ok(answers))),
             }
-            cb_rshared.push_completion(Completion { token, frames });
-        },
-    );
-    match result {
+        }
+        if let Some(ctx) = ctx {
+            trl_obs::record_span_under(ctx, "server.write", wstart, wstart.elapsed());
+            trl_obs::record_root_span(
+                ctx,
+                parent,
+                "server.request",
+                drain_start,
+                drain_start.elapsed(),
+            );
+        }
+        let slow = slow_query.is_some_and(|threshold| handle_time > threshold);
+        let spans = match ctx {
+            Some(ctx) if slow || traced.is_some() => trl_obs::collect_trace(ctx.trace_id),
+            _ => Vec::new(),
+        };
+        if slow {
+            log_slow_query(replies[0].0.kind(), handle_time, &spans);
+        }
+        if let Some((seq, answers)) = traced {
+            let resp = single_answer(answers, |answer| Response::Traced { answer, spans });
+            frames.push((Some(seq), encode_response(&resp)));
+        }
+        drop(forced);
+        cb_rshared.push_completion(Completion { token, frames });
+    };
+    match shared
+        .engine
+        .submit_artifact_batch(&artifact, queries, ctx, on_done)
+    {
         Ok(()) => conn.in_flight += 1,
         Err(e) => {
-            // Should be unreachable (frames were pre-validated), but a
-            // defensive rejection keeps every staged frame answered.
+            // Unreachable in practice (every segment was validated when it
+            // was staged), but a defensive rejection keeps each one
+            // answered.
             shared.release_admitted(total);
             let wire = engine_error_to_wire(e);
-            for id in ids {
-                enqueue_pipelined(conn, shared, id, Err(wire.clone()));
+            for reply in fallback {
+                answer_now(conn, shared, reply.frame(Err(wire.clone())));
             }
         }
     }
 }
 
-/// Submits a pre-v3 `Query`/`Batch` request: one executor submission, one
-/// ordered response.
-fn submit_ordered(
+/// The per-kind counter suffix and thread name of a build request.
+fn build_kind(request: &Request) -> &'static str {
+    match request {
+        Request::Compile(_) => "compile",
+        Request::LearnPsdd { .. } => "learn",
+        Request::CompileSpace { .. } => "space",
+        Request::CompileClassifier(_) => "classifier",
+        _ => "optimize",
+    }
+}
+
+/// Runs one artifact build against the engine and frames its answer.
+/// PSDD learning reports progress through the stats frame as it runs
+/// (`engine.learn.*`); an optimize keeps in-flight queries serving from
+/// the original circuit until the smaller one is swapped in.
+fn build(engine: &Engine, request: Request) -> Response {
+    let built = match request {
+        Request::Compile(cnf) => {
+            let (key, circuit) = engine.compile(&cnf);
+            Ok(Response::Compiled {
+                key,
+                num_vars: circuit.num_vars() as u32,
+                nodes: circuit.raw().node_count() as u32,
+                edges: circuit.raw().edge_count() as u32,
+            })
+        }
+        Request::LearnPsdd { cnf, alpha, data } => {
+            engine
+                .learn_psdd(&cnf, &data, alpha)
+                .map(|(key, psdd)| Response::Learned {
+                    key,
+                    num_vars: psdd.num_vars() as u32,
+                    nodes: psdd.node_count() as u32,
+                    log_likelihood: psdd.train_log_likelihood(),
+                })
+        }
+        Request::CompileSpace {
+            num_nodes,
+            edges,
+            s,
+            t,
+        } => engine
+            .compile_space(num_nodes as usize, &edges, s, t)
+            .map(|(key, space)| Response::SpaceCompiled {
+                key,
+                num_edge_vars: space.num_edge_vars() as u32,
+                nodes: space.node_count() as u32,
+                paths: space.path_count(),
+            }),
+        Request::CompileClassifier(cnf) => {
+            let (key, clf) = engine.compile_classifier(&cnf);
+            Ok(Response::ClassifierCompiled {
+                key,
+                num_vars: clf.num_vars() as u32,
+                nodes: clf.node_count() as u32,
+            })
+        }
+        Request::Optimize { key } => engine.optimize(key).map(|r| Response::Optimized {
+            key: r.key,
+            nodes_before: r.nodes_before as u32,
+            nodes_after: r.nodes_after as u32,
+            swapped: r.swapped,
+            wall_us: r.wall_us,
+        }),
+        other => Err(EngineError::Structure(format!(
+            "{other:?} is not a build request"
+        ))),
+    };
+    built.unwrap_or_else(|e| Response::Error(engine_error_to_wire(e)))
+}
+
+/// Offloads an admitted artifact build to its own thread: construction
+/// can take arbitrarily long and must not stall the reactor's event loop.
+/// The thread answers the ordered response for `seq`. The one place the
+/// server spawns build threads.
+fn spawn_build(
     conn: &mut Conn,
-    key: u64,
-    queries: Vec<Query>,
-    single: bool,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    let n = queries.len();
-    let reject = |conn: &mut Conn, e: WireError| {
-        let bytes = encode_response(&Response::Error(e), conn.version);
-        enqueue_seq(conn, shared, seq, bytes);
-    };
-    if n > 0 {
-        if let Err(e) = shared.try_admit(n) {
-            reject(conn, e);
-            return;
-        }
-    }
-    let artifact = match shared.engine.get(key) {
-        Some(a) => a,
-        None => {
-            if n > 0 {
-                shared.release_admitted(n);
-            }
-            reject(conn, WireError::UnknownKey(key));
-            return;
-        }
-    };
-    let token = conn.token;
-    let version = conn.version;
-    let cb_shared = Arc::clone(shared);
-    let cb_rshared = Arc::clone(rshared);
-    let submitted = Instant::now();
-    let slow_query = shared.config.slow_query;
-    let drain_start = conn.drain_start;
-    let ctx = trl_obs::maybe_sample();
-    if let Some(ctx) = ctx {
-        trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
-    }
-    let result = shared.engine.submit_artifact_batch_traced(
-        &artifact,
-        queries,
-        ctx,
-        move |outcomes: Vec<QueryOutcome>| {
-            if n > 0 {
-                cb_shared.release_admitted(n);
-            }
-            let handle_time = submitted.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            trl_obs::histogram!("server.service_us").record(handle_time);
-            trl_obs::histogram!("server.request_us").record(handle_time);
-            let mut answers = outcomes.into_iter().map(|o| o.answer);
-            let resp = if single {
-                match answers.next() {
-                    Some(a) => Response::Answer(a),
-                    // A single query always yields one outcome; guard
-                    // anyway rather than panic on a worker thread.
-                    None => Response::Error(WireError::Engine("empty batch result".into())),
-                }
-            } else {
-                Response::Batch(answers.collect())
-            };
-            let bytes = match ctx {
-                Some(ctx) => {
-                    let wstart = Instant::now();
-                    let bytes = encode_response(&resp, version);
-                    trl_obs::record_span_under(ctx, "server.write", wstart, wstart.elapsed());
-                    trl_obs::record_root_span(
-                        ctx,
-                        0,
-                        "server.request",
-                        drain_start,
-                        drain_start.elapsed(),
-                    );
-                    bytes
-                }
-                None => encode_response(&resp, version),
-            };
-            if let Some(threshold) = slow_query {
-                if handle_time > threshold {
-                    let spans = ctx.map_or_else(Vec::new, |c| trl_obs::collect_trace(c.trace_id));
-                    log_slow_query(if single { "query" } else { "batch" }, handle_time, &spans);
-                }
-            }
-            cb_rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), bytes)],
-            });
-        },
-    );
-    match result {
-        Ok(()) => conn.in_flight += 1,
-        Err(e) => {
-            if n > 0 {
-                shared.release_admitted(n);
-            }
-            reject(conn, engine_error_to_wire(e));
-        }
-    }
-}
-
-/// Submits a [`Request::Trace`] query: a force-sampled single query whose
-/// answer comes back with the server-side span tree attached. The answer
-/// travels the exact same executor path as [`Request::Query`], so it is
-/// byte-identical to the untraced one; only the response framing differs.
-fn submit_traced(
-    conn: &mut Conn,
-    client_ctx: TraceContext,
-    key: u64,
-    query: Query,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    let reject = |conn: &mut Conn, e: WireError| {
-        let bytes = encode_response(&Response::Error(e), conn.version);
-        enqueue_seq(conn, shared, seq, bytes);
-    };
-    if let Err(e) = shared.try_admit(1) {
-        reject(conn, e);
-        return;
-    }
-    let artifact = match shared.engine.get(key) {
-        Some(a) => a,
-        None => {
-            shared.release_admitted(1);
-            reject(conn, WireError::UnknownKey(key));
-            return;
-        }
-    };
-    // Recording stays forced for this request's whole lifetime regardless
-    // of the sampling rate: the guard rides in the completion closure and
-    // drops after collection.
-    let forced = trl_obs::force_tracing();
-    // Adopt the client's trace id with a fresh root span for the server's
-    // subtree; the client's span id becomes that root's parent, so the
-    // client can splice the subtree under its own request span.
-    let ctx = TraceContext::adopt(client_ctx.trace_id);
-    let drain_start = conn.drain_start;
-    trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
-    let token = conn.token;
-    let version = conn.version;
-    let cb_shared = Arc::clone(shared);
-    let cb_rshared = Arc::clone(rshared);
-    let submitted = Instant::now();
-    let slow_query = shared.config.slow_query;
-    let result = shared.engine.submit_artifact_batch_traced(
-        &artifact,
-        vec![query],
-        Some(ctx),
-        move |outcomes: Vec<QueryOutcome>| {
-            cb_shared.release_admitted(1);
-            let handle_time = submitted.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            trl_obs::histogram!("server.service_us").record(handle_time);
-            trl_obs::histogram!("server.request_us").record(handle_time);
-            let resp = match outcomes.into_iter().map(|o| o.answer).next() {
-                Some(answer) => {
-                    // The traced response cannot contain the cost of its
-                    // own final encode, so probe-encode the plain answer
-                    // frame — what an untraced request would write — and
-                    // record that as the tree's response-write span.
-                    let wstart = Instant::now();
-                    let probe = encode_response(&Response::Answer(answer.clone()), version);
-                    trl_obs::record_span_under(ctx, "server.write", wstart, wstart.elapsed());
-                    drop(probe);
-                    trl_obs::record_root_span(
-                        ctx,
-                        client_ctx.span_id,
-                        "server.request",
-                        drain_start,
-                        drain_start.elapsed(),
-                    );
-                    let spans = trl_obs::collect_trace(ctx.trace_id);
-                    if let Some(threshold) = slow_query {
-                        if handle_time > threshold {
-                            log_slow_query("trace", handle_time, &spans);
-                        }
-                    }
-                    Response::Traced { answer, spans }
-                }
-                None => Response::Error(WireError::Engine("empty batch result".into())),
-            };
-            drop(forced);
-            cb_rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), encode_response(&resp, version))],
-            });
-        },
-    );
-    match result {
-        Ok(()) => conn.in_flight += 1,
-        Err(e) => {
-            shared.release_admitted(1);
-            reject(conn, engine_error_to_wire(e));
-        }
-    }
-}
-
-/// Offloads an artifact build (compile, learn, space) to its own thread:
-/// construction can take arbitrarily long and must not stall the
-/// reactor's event loop. `build` runs on the spawned thread and returns
-/// the ordered response for `seq`.
-fn spawn_build<F>(
-    token: u64,
     seq: u64,
-    version: u16,
     kind: &'static str,
+    request: Request,
     shared: &Arc<Shared>,
     rshared: &Arc<ReactorShared>,
-    build: F,
-) where
-    F: FnOnce(&Engine) -> Response + Send + 'static,
-{
+) {
+    let token = conn.token;
     let cb_shared = Arc::clone(shared);
     let cb_rshared = Arc::clone(rshared);
     let slow_query = shared.config.slow_query;
@@ -1516,8 +1390,8 @@ fn spawn_build<F>(
         .spawn(move || {
             let started = Instant::now();
             // Installing the sampled context means registry hit/compile
-            // and minimize-pass spans inside `build` land in the tree.
-            let resp = trl_obs::with_current_trace(ctx, || build(&cb_shared.engine));
+            // and minimize-pass spans inside the build land in the tree.
+            let resp = trl_obs::with_current_trace(ctx, || build(&cb_shared.engine, request));
             cb_shared.release_admitted(1);
             let handle_time = started.elapsed();
             trl_obs::record_span("server.handle", handle_time);
@@ -1534,11 +1408,14 @@ fn spawn_build<F>(
             }
             cb_rshared.push_completion(Completion {
                 token,
-                frames: vec![(Some(seq), encode_response(&resp, version))],
+                frames: vec![(Some(seq), encode_response(&resp))],
             });
         });
     match spawned {
-        Ok(handle) => shared.track_thread(handle),
+        Ok(handle) => {
+            conn.in_flight += 1;
+            shared.track_thread(handle);
+        }
         Err(_) => {
             // Could not spawn a thread (resource exhaustion): the request
             // still gets an answer, just a typed failure.
@@ -1546,156 +1423,9 @@ fn spawn_build<F>(
             let resp = Response::Error(WireError::Engine(format!(
                 "server could not spawn a {kind} thread"
             )));
-            rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), encode_response(&resp, version))],
-            });
+            answer_now(conn, shared, (Some(seq), encode_response(&resp)));
         }
     }
-}
-
-/// Offloads a circuit compile to its own thread.
-fn spawn_compile(
-    token: u64,
-    seq: u64,
-    version: u16,
-    cnf: trl_prop::Cnf,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(token, seq, version, "compile", shared, rshared, move |e| {
-        let (key, circuit) = e.compile(&cnf);
-        Response::Compiled {
-            key,
-            num_vars: circuit.num_vars() as u32,
-            nodes: circuit.raw().node_count() as u32,
-            edges: circuit.raw().edge_count() as u32,
-        }
-    });
-}
-
-/// Offloads a PSDD learning job to its own thread. Progress is
-/// wire-visible through the stats frame: the engine bumps
-/// `engine.learn.jobs` / `engine.learn.examples` counters and the
-/// `engine.learn.train_us` histogram as the job runs.
-#[allow(clippy::too_many_arguments)]
-fn spawn_learn(
-    token: u64,
-    seq: u64,
-    version: u16,
-    cnf: trl_prop::Cnf,
-    alpha: f64,
-    data: Vec<(trl_core::Assignment, f64)>,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "learn",
-        shared,
-        rshared,
-        move |e| match e.learn_psdd(&cnf, &data, alpha) {
-            Ok((key, psdd)) => Response::Learned {
-                key,
-                num_vars: psdd.num_vars() as u32,
-                nodes: psdd.node_count() as u32,
-                log_likelihood: psdd.train_log_likelihood(),
-            },
-            Err(err) => Response::Error(engine_error_to_wire(err)),
-        },
-    );
-}
-
-/// Offloads a structured-space compile to its own thread.
-#[allow(clippy::too_many_arguments)]
-fn spawn_space(
-    token: u64,
-    seq: u64,
-    version: u16,
-    num_nodes: u32,
-    edges: Vec<(u32, u32)>,
-    s: u32,
-    t: u32,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "space",
-        shared,
-        rshared,
-        move |e| match e.compile_space(num_nodes as usize, &edges, s, t) {
-            Ok((key, space)) => Response::SpaceCompiled {
-                key,
-                num_edge_vars: space.num_edge_vars() as u32,
-                nodes: space.node_count() as u32,
-                paths: space.path_count(),
-            },
-            Err(err) => Response::Error(engine_error_to_wire(err)),
-        },
-    );
-}
-
-/// Offloads a classifier compile to its own thread.
-fn spawn_classifier(
-    token: u64,
-    seq: u64,
-    version: u16,
-    cnf: trl_prop::Cnf,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "classifier",
-        shared,
-        rshared,
-        move |e| {
-            let (key, clf) = e.compile_classifier(&cnf);
-            Response::ClassifierCompiled {
-                key,
-                num_vars: clf.num_vars() as u32,
-                nodes: clf.node_count() as u32,
-            }
-        },
-    );
-}
-
-/// Offloads a registry minimization pass to its own thread: sifting and
-/// vtree search can take the schedule's whole time budget, and in-flight
-/// queries keep serving from the original circuit throughout.
-fn spawn_optimize(
-    token: u64,
-    seq: u64,
-    version: u16,
-    key: u64,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "optimize",
-        shared,
-        rshared,
-        move |e| match e.optimize(key) {
-            Ok(r) => Response::Optimized {
-                key: r.key,
-                nodes_before: r.nodes_before as u32,
-                nodes_after: r.nodes_after as u32,
-                swapped: r.swapped,
-                wall_us: r.wall_us,
-            },
-            Err(err) => Response::Error(engine_error_to_wire(err)),
-        },
-    );
 }
 
 /// One JSON line on stderr describing a request that blew the

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, Var};
-use trl_engine::{Engine, Executor, PreparedCircuit, Query, QueryAnswer};
+use trl_engine::{Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
 use trl_prop::Cnf;
 use trl_server::{Client, ClientError, Server, ServerConfig, WireError};
@@ -60,7 +60,8 @@ fn eight_concurrent_clients_get_bit_identical_answers() {
 
     let queries = query_stream(cnf.num_vars(), 6);
     let expected: Vec<QueryAnswer> = direct_executor
-        .run_batch(&direct, queries.clone())
+        .run_artifact_batch(&Artifact::Circuit(direct), queries.clone())
+        .unwrap()
         .into_iter()
         .map(|o| o.answer)
         .collect();
@@ -456,7 +457,7 @@ fn stats_snapshot_over_the_wire() {
     assert!(after.registry.hits >= 2, "compile hit + key lookup");
     assert!(after.retained_nodes > 0);
 
-    // The extended (version-2) surface travels too.
+    // The observability surface travels too.
     assert!(after.uptime_ms >= before.uptime_ms);
     let served = |s: &trl_engine::StatsSnapshot, kind: &str| {
         s.requests_served

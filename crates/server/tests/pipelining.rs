@@ -1,17 +1,23 @@
-//! Pipelined serving: many version-3 frames in flight on one connection,
+//! Pipelined serving: many pipelined frames in flight on one connection,
 //! responses matched by id as they complete (possibly out of order),
 //! per-frame typed failures that never sink the connection, and answers
 //! bit-identical to direct in-process execution.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, Var};
-use trl_engine::{Engine, Executor, PreparedCircuit, Query, QueryAnswer};
+use trl_engine::{Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
+use trl_obs::TraceContext;
 use trl_prop::Cnf;
-use trl_server::{Client, Server, ServerConfig, WireError};
+use trl_server::{
+    read_response, write_request, write_response, Client, Request, Response, Server, ServerConfig,
+    WireError, DEFAULT_MAX_FRAME_LEN,
+};
 
 fn acceptance_cnf() -> Cnf {
     Cnf::parse_dimacs("p cnf 6 7\n1 2 0\n-1 3 0\n-2 -4 0\n4 5 0\n-5 6 0\n2 -6 0\n1 -3 5 0\n")
@@ -47,9 +53,9 @@ fn frame_queries(n_vars: usize, salt: u32) -> Vec<Query> {
 #[test]
 fn pipelined_answers_are_bit_identical_to_in_process() {
     let cnf = acceptance_cnf();
-    let direct = Arc::new(PreparedCircuit::new(
+    let direct = Artifact::Circuit(Arc::new(PreparedCircuit::new(
         DecisionDnnfCompiler::default().compile(&cnf),
-    ));
+    )));
     let direct_executor = Executor::new(2);
 
     let engine = Arc::new(Engine::new(1 << 22, Some(2)));
@@ -60,7 +66,8 @@ fn pipelined_answers_are_bit_identical_to_in_process() {
         .iter()
         .map(|qs| {
             direct_executor
-                .run_batch(&direct, qs.clone())
+                .run_artifact_batch(&direct, qs.clone())
+                .unwrap()
                 .into_iter()
                 .map(|o| o.answer)
                 .collect()
@@ -249,35 +256,149 @@ fn overload_is_typed_and_survivable_under_pipelining() {
     handle.shutdown();
 }
 
-/// Pipelined frames interleaved with classic ordered requests on the same
-/// connection: ordered responses keep strict submission order while
-/// pipelined ids float freely around them.
+/// The encoded frame of a response: answers compare byte for byte.
+fn frame_bytes(resp: &Response) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_response(&mut bytes, resp).unwrap();
+    bytes
+}
+
+/// Every query-bearing kind in flight together on one connection: two
+/// pipelined frames, a `Query`, a `Batch`, a `Trace` and a `Stats`, all
+/// for one key and sent in a single write so they land in one readiness
+/// drain. Ordered responses must keep send order while pipelined ids
+/// float around them, every answer must be byte-identical to the
+/// in-process engine, and the traced request must carry its own span
+/// tree rooted under the client's span.
 #[test]
 fn ordered_and_pipelined_traffic_interleave_on_one_connection() {
     let cnf = acceptance_cnf();
+    let n = cnf.num_vars();
     let engine = Arc::new(Engine::new(1 << 22, Some(2)));
     let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let key = Client::connect(handle.addr())
+        .unwrap()
+        .compile(&cnf)
+        .unwrap()
+        .key;
 
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let key = client.compile(&cnf).unwrap().key;
-
-    // Fire a pipelined frame, then a classic query (strict call), then
-    // collect the pipelined response. The classic call must not swallow
-    // the pipelined frame's response even if it completes first —
-    // `query` reads exactly one frame, and the server answers ordered
-    // requests in order relative to each other.
-    client
-        .pipeline_send(11, key, vec![Query::ModelCount])
-        .unwrap();
-    let (id, result) = client.pipeline_recv().unwrap();
-    assert_eq!(id, 11);
-    let pipelined_count = match result.unwrap().pop().unwrap() {
-        QueryAnswer::ModelCount(n) => n,
-        other => panic!("expected a model count, got {other:?}"),
+    let reference = Engine::new(1 << 22, Some(2));
+    let (ref_key, _) = reference.compile(&cnf);
+    assert_eq!(ref_key, key, "keys are content fingerprints");
+    let artifact = reference.get(key).unwrap();
+    let answers = |queries: &[Query]| -> Vec<QueryAnswer> {
+        reference
+            .run_artifact_batch(&artifact, queries.to_vec())
+            .unwrap()
+            .into_iter()
+            .map(|o| o.answer)
+            .collect()
     };
 
-    let direct = client.query(key, Query::ModelCount).unwrap();
-    assert_eq!(direct, QueryAnswer::ModelCount(pipelined_count));
+    let pipelined: Vec<(u64, Vec<Query>)> =
+        vec![(21, frame_queries(n, 1)), (22, frame_queries(n, 2))];
+    let single = Query::Wmc(weights(n, 3));
+    let batch = frame_queries(n, 4);
+    let traced = Query::Marginals(weights(n, 5));
+    let client_ctx = TraceContext::generate(true);
 
+    let mut wire = Vec::new();
+    for (id, queries) in &pipelined {
+        let req = Request::PipelinedBatch {
+            id: *id,
+            key,
+            queries: queries.clone(),
+        };
+        write_request(&mut wire, &req).unwrap();
+    }
+    for req in [
+        Request::Query {
+            key,
+            query: single.clone(),
+        },
+        Request::Batch {
+            key,
+            queries: batch.clone(),
+        },
+        Request::Trace {
+            ctx: client_ctx,
+            key,
+            query: traced.clone(),
+        },
+        Request::Stats,
+    ] {
+        write_request(&mut wire, &req).unwrap();
+    }
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.write_all(&wire).unwrap();
+
+    let mut ordered = Vec::new();
+    let mut ids = Vec::new();
+    for _ in 0..6 {
+        match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN).unwrap() {
+            Response::PipelinedBatch { id, result } => {
+                let (_, queries) = pipelined
+                    .iter()
+                    .find(|(want, _)| *want == id)
+                    .unwrap_or_else(|| panic!("unknown id {id}"));
+                let want = Response::PipelinedBatch {
+                    id,
+                    result: Ok(answers(queries)),
+                };
+                let got = Response::PipelinedBatch { id, result };
+                assert_eq!(frame_bytes(&got), frame_bytes(&want), "frame {id}");
+                ids.push(id);
+            }
+            other => ordered.push(other),
+        }
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, vec![21, 22], "each pipelined id answered once");
+
+    let [Response::Answer(answer), Response::Batch(batch_answers), Response::Traced {
+        answer: traced_answer,
+        spans,
+    }, Response::Stats(_)] = &ordered[..]
+    else {
+        panic!("ordered responses out of send order: {ordered:?}");
+    };
+    let want = answers(&[single]).pop().unwrap();
+    assert_eq!(
+        frame_bytes(&Response::Answer(answer.clone())),
+        frame_bytes(&Response::Answer(want))
+    );
+    assert_eq!(
+        frame_bytes(&Response::Batch(batch_answers.clone())),
+        frame_bytes(&Response::Batch(answers(&batch)))
+    );
+    let want = answers(&[traced]).pop().unwrap();
+    assert_eq!(
+        frame_bytes(&Response::Answer(traced_answer.clone())),
+        frame_bytes(&Response::Answer(want))
+    );
+
+    // The traced request's tree: one server root parented on the client's
+    // span, every lifecycle station directly under it.
+    let roots: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "server.request")
+        .collect();
+    assert_eq!(roots.len(), 1, "exactly one request root: {spans:?}");
+    assert_eq!(roots[0].parent_id, client_ctx.span_id);
+    for station in [
+        "reactor.drain",
+        "engine.queue_wait",
+        "executor.batch",
+        "server.write",
+    ] {
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == station && s.parent_id == roots[0].span_id),
+            "{station} missing or not under the root: {spans:?}"
+        );
+    }
+
+    drop(stream);
     handle.shutdown();
 }

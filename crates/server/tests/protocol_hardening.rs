@@ -8,8 +8,8 @@ use trl_nnf::LitWeights;
 use trl_obs::{HistogramSnapshot, MetricValue, MetricsDump, TraceContext, TraceSpanData};
 use trl_prop::Cnf;
 use trl_server::{
-    decode_stats_v1_prefix, read_request, read_response, write_request, write_response,
-    ProtocolError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
+    read_request, read_response, scan_frame, write_request, write_response, ProtocolError, Request,
+    Response, WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 fn sample_cnf() -> Cnf {
@@ -76,7 +76,7 @@ fn all_requests() -> Vec<Request> {
             key: 8,
             queries: Vec::new(),
         },
-        // Version-4 artifact builds.
+        // Role-2/3 artifact builds.
         Request::LearnPsdd {
             cnf: sample_cnf(),
             alpha: 1.0,
@@ -89,7 +89,7 @@ fn all_requests() -> Vec<Request> {
             t: 3,
         },
         Request::CompileClassifier(sample_cnf()),
-        // Version-4 role-2/3 queries ride the existing query/batch frames.
+        // Role-2/3 queries ride the existing query/batch frames.
         Request::Query {
             key: 9,
             query: Query::PsddLogLikelihood(sample_dataset()),
@@ -355,14 +355,38 @@ fn mid_frame_disconnect_at_every_cut_is_typed() {
 
 #[test]
 fn version_skew_is_typed() {
-    let mut bytes = Vec::new();
-    write_request(&mut bytes, &Request::Ping).unwrap();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    restamp_header(&mut bytes);
-    assert!(matches!(
-        read_request(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN),
-        Err(ProtocolError::UnsupportedVersion { found: 99, .. })
-    ));
+    // Only PROTOCOL_VERSION is spoken: the retired versions 1..=5, the
+    // never-valid 0, and future versions are all refused at header time,
+    // by the blocking readers and the nonblocking scanner alike.
+    for version in [0, 1, 2, 3, 4, 5, 7, 99] {
+        let want = ProtocolError::UnsupportedVersion {
+            found: version,
+            supported: PROTOCOL_VERSION,
+        };
+        let mut request = Vec::new();
+        write_request(&mut request, &Request::Ping).unwrap();
+        let mut response = Vec::new();
+        write_response(&mut response, &Response::Pong).unwrap();
+        for bytes in [&mut request, &mut response] {
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            restamp_header(bytes);
+            assert_eq!(
+                scan_frame(bytes, DEFAULT_MAX_FRAME_LEN),
+                Err(want.clone()),
+                "scan, version {version}"
+            );
+        }
+        assert_eq!(
+            read_request(&mut request.as_slice(), DEFAULT_MAX_FRAME_LEN),
+            Err(want.clone()),
+            "request, version {version}"
+        );
+        assert_eq!(
+            read_response(&mut response.as_slice(), DEFAULT_MAX_FRAME_LEN),
+            Err(want),
+            "response, version {version}"
+        );
+    }
 }
 
 #[test]
@@ -388,7 +412,7 @@ fn universe_bomb_rejected() {
     ));
 }
 
-/// A version-2 stats snapshot with every extension shape populated:
+/// A stats snapshot with every observability field populated:
 /// per-kind counts, connection counters, all three metric variants.
 fn extended_stats() -> StatsSnapshot {
     StatsSnapshot {
@@ -464,29 +488,6 @@ fn extended_stats_truncation_at_every_cut_is_typed() {
             "cut at byte {cut}"
         );
     }
-}
-
-#[test]
-fn old_client_decodes_the_legacy_prefix_of_an_extended_stats_payload() {
-    // The version-1 stats decoder consumed exactly eight fields and
-    // stopped; `decode_stats_v1_prefix` is that decoder. Run it over a
-    // full version-2 payload and check the legacy fields arrive intact
-    // while the extension is invisible.
-    let full = extended_stats();
-    let mut bytes = Vec::new();
-    write_response(&mut bytes, &Response::Stats(full.clone())).unwrap();
-    let payload = &bytes[trl_server::protocol::HEADER_LEN..];
-    let legacy = decode_stats_v1_prefix(payload).unwrap();
-    assert_eq!(legacy.registry, full.registry);
-    assert_eq!(legacy.artifacts, full.artifacts);
-    assert_eq!(legacy.retained_nodes, full.retained_nodes);
-    assert_eq!(legacy.max_retained_nodes, full.max_retained_nodes);
-    assert_eq!(legacy.workers, full.workers);
-    assert_eq!(legacy.queue_depth, full.queue_depth);
-    assert_eq!(legacy.uptime_ms, 0);
-    assert!(legacy.requests_served.is_empty());
-    assert_eq!(legacy.connections_accepted, 0);
-    assert!(legacy.metrics.metrics.is_empty());
 }
 
 #[test]
@@ -762,204 +763,42 @@ fn traced_span_count_bomb_rejected() {
     ));
 }
 
-/// Rewrites a well-formed frame's version word to `version` and restamps
-/// the header checksum, simulating a client that speaks an older protocol.
-fn stamp_version(bytes: &mut [u8], version: u16) {
-    bytes[4..6].copy_from_slice(&version.to_le_bytes());
-    restamp_header(bytes);
-}
-
-/// Reads one whole response frame off `stream` and returns the raw bytes
-/// (header + payload) so the test can inspect the version word the server
-/// actually stamped before decoding.
-fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
-    use std::io::Read;
-    let header_len = trl_server::protocol::HEADER_LEN;
-    let mut frame = vec![0u8; header_len];
-    stream.read_exact(&mut frame).unwrap();
-    let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).unwrap();
-    frame.extend_from_slice(&payload);
-    frame
-}
-
 #[test]
-fn version_2_client_still_works_against_the_v3_server() {
-    // A version-2 client hand-stamps its frames with version 2 and has
-    // never heard of pipelining. The readiness-driven v3 server must (a)
-    // accept those frames, (b) answer each one with a frame stamped
-    // version 2 so the old decoder's version check passes, and (c) never
-    // send a v3-only response kind on that connection.
-    use std::io::Write;
+fn retired_version_is_refused_typed_and_the_server_keeps_serving() {
+    // A frame stamped version 5 is answered with a typed error naming the
+    // version, and that connection closes; a version-6 connection on the
+    // same server keeps answering.
+    use std::io::{Read, Write};
     use std::sync::Arc;
+    use std::time::Duration;
     use trl_engine::Engine;
-    use trl_server::{Server, ServerConfig};
+    use trl_server::{Client, Server, ServerConfig};
 
     let engine = Arc::new(Engine::new(1 << 20, Some(2)));
     let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-
-    let send_v2 = |stream: &mut std::net::TcpStream, req: &Request| {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, req).unwrap();
-        stamp_version(&mut bytes, 2);
-        stream.write_all(&bytes).unwrap();
-    };
-
-    // Compile, then query, then stats — the version-2 workload.
-    send_v2(&mut stream, &Request::Compile(sample_cnf()));
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 2);
-    let key = match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { key, .. } => key,
-        other => panic!("expected Compiled, got {other:?}"),
-    };
-
-    send_v2(
-        &mut stream,
-        &Request::Query {
-            key,
-            query: Query::ModelCount,
-        },
-    );
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 2);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Answer(QueryAnswer::ModelCount(n)) => assert!(n > 0),
-        other => panic!("expected Answer, got {other:?}"),
-    }
-
-    send_v2(&mut stream, &Request::Stats);
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 2);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Stats(s) => assert_eq!(s.artifacts, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-
-    drop(stream);
-    handle.shutdown();
-}
-
-#[test]
-fn version_3_client_still_works_against_the_v4_server() {
-    // A version-3 client knows pipelining but none of the role-2/role-3
-    // frames. The v4 server must accept its frames, echo version 3 on
-    // every response so the old decoder's version check passes, and serve
-    // the full v3 workload (compile + pipelined batch + stats) unchanged.
-    use std::io::Write;
-    use std::sync::Arc;
-    use trl_engine::Engine;
-    use trl_server::{Server, ServerConfig};
-
-    let engine = Arc::new(Engine::new(1 << 20, Some(2)));
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-
-    let send_v3 = |stream: &mut std::net::TcpStream, req: &Request| {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, req).unwrap();
-        stamp_version(&mut bytes, 3);
-        stream.write_all(&bytes).unwrap();
-    };
-
-    send_v3(&mut stream, &Request::Compile(sample_cnf()));
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 3);
-    let key = match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { key, .. } => key,
-        other => panic!("expected Compiled, got {other:?}"),
-    };
-
-    send_v3(
-        &mut stream,
-        &Request::PipelinedBatch {
-            id: 77,
-            key,
-            queries: vec![Query::ModelCount, Query::Sat],
-        },
-    );
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 3);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::PipelinedBatch { id, result } => {
-            assert_eq!(id, 77);
-            let answers = result.expect("batch should succeed");
-            assert!(matches!(answers[0], QueryAnswer::ModelCount(n) if n > 0));
-            assert!(matches!(answers[1], QueryAnswer::Sat(true)));
+    let mut old = std::net::TcpStream::connect(handle.addr()).unwrap();
+    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut bytes = Vec::new();
+    write_request(&mut bytes, &Request::Stats).unwrap();
+    bytes[4..6].copy_from_slice(&5u16.to_le_bytes());
+    restamp_header(&mut bytes);
+    old.write_all(&bytes).unwrap();
+    match read_response(&mut old, DEFAULT_MAX_FRAME_LEN).unwrap() {
+        Response::Error(WireError::Invalid(m)) => {
+            assert!(m.contains("unsupported protocol version 5"), "{m}");
         }
-        other => panic!("expected PipelinedBatch, got {other:?}"),
+        other => panic!("expected a typed version error, got {other:?}"),
     }
+    let mut rest = Vec::new();
+    assert_eq!(old.read_to_end(&mut rest).unwrap(), 0, "connection closes");
 
-    send_v3(&mut stream, &Request::Stats);
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 3);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Stats(s) => assert_eq!(s.artifacts, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-
-    drop(stream);
-    handle.shutdown();
-}
-
-#[test]
-fn version_5_client_still_works_against_the_v6_server() {
-    // A version-5 client knows every frame except tracing. The v6 server
-    // must accept its frames, echo version 5 on every response so the old
-    // decoder's version check passes, and never send a Traced response on
-    // that connection.
-    use std::io::Write;
-    use std::sync::Arc;
-    use trl_engine::Engine;
-    use trl_server::{Server, ServerConfig};
-
-    let engine = Arc::new(Engine::new(1 << 20, Some(2)));
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-
-    let send_v5 = |stream: &mut std::net::TcpStream, req: &Request| {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, req).unwrap();
-        stamp_version(&mut bytes, 5);
-        stream.write_all(&bytes).unwrap();
-    };
-
-    send_v5(&mut stream, &Request::Compile(sample_cnf()));
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 5);
-    let key = match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { key, .. } => key,
-        other => panic!("expected Compiled, got {other:?}"),
-    };
-
-    send_v5(
-        &mut stream,
-        &Request::Query {
-            key,
-            query: Query::Wmc(sample_weights()),
-        },
-    );
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 5);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Answer(QueryAnswer::Wmc(x)) => assert!(x.is_finite()),
-        other => panic!("expected Answer, got {other:?}"),
-    }
-
-    send_v5(&mut stream, &Request::Stats);
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 5);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Stats(s) => assert_eq!(s.artifacts, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-
-    drop(stream);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let key = client.compile(&sample_cnf()).unwrap().key;
+    assert!(matches!(
+        client.query(key, Query::ModelCount).unwrap(),
+        QueryAnswer::ModelCount(n) if n > 0
+    ));
+    drop(client);
     handle.shutdown();
 }
 

@@ -84,7 +84,9 @@ fn main() {
         Query::MaxWeight(w),
     ];
     let kinds: Vec<&str> = batch.iter().map(Query::kind).collect();
-    let outcomes = executor.run_batch(&prepared, batch);
+    let outcomes = executor
+        .run_artifact_batch(&Artifact::Circuit(Arc::clone(&prepared)), batch)
+        .expect("every query fits the circuit's universe");
     for (kind, outcome) in kinds.iter().zip(&outcomes) {
         let shown = match &outcome.answer {
             QueryAnswer::ModelCount(n) => format!("{n}"),

@@ -76,7 +76,8 @@ use three_roles::core::{Lit, Var};
 use three_roles::engine::StatsSnapshot;
 use three_roles::engine::{
     eval_benchmark, load_binary, load_nnf, save_binary, save_nnf, save_vtree, serving_benchmark,
-    Engine, Executor, ParallelPolicy, Query, QueryAnswer, Validation, DEFAULT_LAYERED_MIN_NODES,
+    Artifact, Engine, Executor, ParallelPolicy, Query, QueryAnswer, Validation,
+    DEFAULT_LAYERED_MIN_NODES,
 };
 use three_roles::nnf::{Circuit, LitWeights};
 use three_roles::obs::{LatencySummary, StderrJsonExporter};
@@ -706,7 +707,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         None => Executor::with_default_workers(),
     };
     let outcomes = executor
-        .try_run_batch(&prepared, queries.clone())
+        .run_artifact_batch(&Artifact::Circuit(prepared), queries.clone())
         .map_err(|e| e.to_string())?;
     for (query, outcome) in queries.iter().zip(outcomes) {
         print_outcome(query.kind(), &outcome.answer, outcome.latency);
@@ -1060,7 +1061,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             };
             let queries = spec.build(circuit.num_vars())?;
             let executor = Executor::with_default_workers();
-            let artifact = three_roles::engine::Artifact::Circuit(std::sync::Arc::new(
+            let artifact = Artifact::Circuit(std::sync::Arc::new(
                 three_roles::engine::PreparedCircuit::new(circuit),
             ));
             // Force-sample for the duration of the run, one trace per query
@@ -1072,7 +1073,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 let start = Instant::now();
                 let (tx, rx) = std::sync::mpsc::channel();
                 executor
-                    .submit_artifact_batch_traced(&artifact, vec![query], Some(ctx), move |o| {
+                    .submit_artifact_batch(&artifact, vec![query], Some(ctx), move |o| {
                         let _ = tx.send(o);
                     })
                     .map_err(|e| e.to_string())?;
