@@ -49,6 +49,14 @@ fn print_tier(report: &EvalReport, i: usize) {
         ),
     );
     row("queries", format!("{}", t.queries));
+    row(
+        "batched counts under evidence (groups of 4, 8)",
+        if t.count_identical {
+            "identical to scalar"
+        } else {
+            "MISMATCH"
+        },
+    );
     for v in &t.variants {
         row(
             v.name,

@@ -36,7 +36,10 @@
 //! reference, and [`kernel_identity_sweep`] repeats that comparison —
 //! forced-scalar lanes, detected-backend lanes, and real pooled workers
 //! included — for WMC, model count, counting under evidence, and
-//! marginals across the whole crosscheck corpus.
+//! marginals across the whole crosscheck corpus. Each tier also checks
+//! batched counting under evidence (groups of 4 and [`LANES`]) against the
+//! scalar tape count; the large tier's counts pass 2^128, which the small
+//! corpus never reaches.
 //!
 //! Acceptance is parallelism-aware: the layer-parallel gate demands a
 //! ≥1.5x win over the sequential lane kernel only when the host has ≥2
@@ -96,6 +99,11 @@ pub struct EvalTierReport {
     pub tape_build_us: f64,
     /// One row per variant; `scalar` is first.
     pub variants: Vec<EvalVariantReport>,
+    /// Whether [`EvalTape::model_count_under_batch`] over groups of 4 and
+    /// [`LANES`] evidence sets equalled [`EvalTape::model_count_under`]
+    /// per query. On the large tier the counts pass 2^128, so this covers
+    /// the batched sweep's wide `u128` pass and its wrap.
+    pub count_identical: bool,
 }
 
 impl EvalTierReport {
@@ -137,9 +145,10 @@ impl EvalTierReport {
         }
     }
 
-    /// Whether every variant in this tier bit-matched scalar.
+    /// Whether every variant in this tier bit-matched scalar and the
+    /// batched counts matched the scalar ones.
     pub fn identical(&self) -> bool {
-        self.variants.iter().all(|v| v.identical)
+        self.count_identical && self.variants.iter().all(|v| v.identical)
     }
 }
 
@@ -252,8 +261,8 @@ impl EvalReport {
             );
             let _ = writeln!(
                 out,
-                "      \"queries\": {}, \"tape_build_us\": {:.1},",
-                t.queries, t.tape_build_us
+                "      \"queries\": {}, \"tape_build_us\": {:.1}, \"count_identical\": {},",
+                t.queries, t.tape_build_us, t.count_identical
             );
             out.push_str("      \"variants\": [\n");
             for (j, v) in t.variants.iter().enumerate() {
@@ -333,6 +342,36 @@ fn weight_stream(num_vars: usize, count: usize, seed: u64) -> Vec<LitWeights> {
                 w.set(Var(v).negative(), 1.0 - p);
             }
             w
+        })
+        .collect()
+}
+
+/// The evidence of the batched-count check, deterministic per seed. Even
+/// entries fix a model of `smoothed` on all but its first `64 * (k + 1)`
+/// variables: on the large tier those counts are exact on both sides of
+/// 2^64 and, past 2^128, wrap to a nonzero value. Odd entries assign three
+/// random literals (the serving benchmark's `model_count_under` shape).
+fn evidence_stream(smoothed: &Circuit, count: usize, seed: u64) -> Vec<PartialAssignment> {
+    let n = smoothed.num_vars();
+    let model = smoothed.max_weight_presmoothed(&LitWeights::unit(n));
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|k| {
+            let mut pa = PartialAssignment::new(n);
+            match &model {
+                Some((_, model)) if k % 2 == 0 => {
+                    for v in (64 * (k + 1)).min(n)..n {
+                        let v = Var(v as u32);
+                        pa.assign(v.literal(model.value(v)));
+                    }
+                }
+                _ => {
+                    for _ in 0..3 {
+                        pa.assign(Var(rng.below(n) as u32).literal(rng.coin()));
+                    }
+                }
+            }
+            pa
         })
         .collect()
 }
@@ -434,6 +473,12 @@ fn eval_tier(spec: &TierSpec<'_>, seed: u64, layer_threads: usize) -> EvalTierRe
         });
     }
 
+    let evidence = evidence_stream(&smoothed, LANES, seed);
+    let refs: Vec<&PartialAssignment> = evidence.iter().collect();
+    let expect: Vec<u128> = refs.iter().map(|pa| tape.model_count_under(pa)).collect();
+    let count_identical = tape.model_count_under_batch(&refs[..4]) == expect[..4]
+        && tape.model_count_under_batch(&refs) == expect;
+
     EvalTierReport {
         name: spec.name,
         instance: spec.instance.clone(),
@@ -443,6 +488,7 @@ fn eval_tier(spec: &TierSpec<'_>, seed: u64, layer_threads: usize) -> EvalTierRe
         queries: weights.len(),
         tape_build_us,
         variants,
+        count_identical,
     }
 }
 
@@ -585,6 +631,7 @@ mod tests {
         assert_eq!(tier.variants.len(), 5);
         assert_eq!(tier.variants[0].name, "scalar");
         assert!(tier.variants.iter().all(|v| v.identical && v.qps > 0.0));
+        assert!(tier.count_identical);
         assert!(tier.tape_build_us > 0.0);
         assert!(report.corpus_identical);
         assert_eq!(report.corpus_instances, 50);
@@ -595,6 +642,7 @@ mod tests {
         assert!(json.contains("\"lane_scalar\""));
         assert!(json.contains("\"lane_batched\""));
         assert!(json.contains("\"tape_build_us\""));
+        assert!(json.contains("\"count_identical\": true"));
         assert!(json.contains("\"simd_lane_speedup\""));
         assert!(json.contains("\"layered_vs_lane\""));
         assert!(json.contains("\"p99_us\""));

@@ -134,10 +134,12 @@ impl PreparedCircuit {
 
     /// Answers a group of queries in order, dispatching homogeneous
     /// counting groups to the lane-batched kernels (one tape scan per
-    /// [`trl_nnf::LANES`] queries). `layer_threads > 1` additionally fans
-    /// each tape layer out across that many threads — worth it only for
-    /// large circuits; the executor decides. Mixed groups fall back to
-    /// per-query answering; answers are bit-identical either way.
+    /// [`trl_nnf::LANES`] queries). For WMC and marginal groups,
+    /// `layer_threads > 1` additionally fans each tape layer out across
+    /// that many threads — worth it only for large circuits; the executor
+    /// decides. Count groups ignore `layer_threads` and sweep on the
+    /// calling thread. Mixed groups fall back to per-query answering;
+    /// answers are bit-identical either way.
     pub fn answer_batch(&self, queries: &[Query], layer_threads: usize) -> Vec<QueryAnswer> {
         if queries.len() > 1 {
             if queries.iter().all(|q| matches!(q, Query::Wmc(_))) {

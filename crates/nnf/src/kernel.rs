@@ -30,6 +30,11 @@
 //!   fans out across the persistent [`SweepPool`]: workers claim chunks of
 //!   each layer off a shared cursor (chunked work-stealing) and meet at
 //!   one barrier per layer. No threads are spawned per sweep.
+//! * **Counting in narrow lanes** — [`EvalTape::model_count_under_batch`]
+//!   sweeps every slot whose static count bound fits in `u64` in `u64`
+//!   lanes, and only the few slots above it (the top gates of a large
+//!   conjunction) in wrapping `u128`, so counts keep the scalar sweep's
+//!   exact mod-2^128 semantics.
 //!
 //! Every kernel returns answers **bit-identical** to the corresponding
 //! scalar entry point in [`crate::queries`] (`wmc_presmoothed`,
@@ -177,6 +182,12 @@ pub struct EvalTape {
     /// The root's tape slot (always the last slot: the root is an ancestor
     /// of every reachable node, so it alone occupies the top layer).
     root: u32,
+    /// The *wide* slots of the counting sweep, ascending: those whose
+    /// count under some evidence may not fit in `u64`, or that have a wide
+    /// child (see [`EvalTape::count_bounds`]). Upward-closed, so when
+    /// non-empty the root is its last entry; every other slot is *narrow*
+    /// and counts exactly in `u64` lanes.
+    wide: Vec<u32>,
     /// The SIMD backend the lane-batched sweeps dispatch to; detected at
     /// build time, overridable per tape via [`EvalTape::set_lane_backend`].
     backend: LaneBackend,
@@ -301,7 +312,7 @@ impl EvalTape {
         debug_assert_eq!(slot[root] as usize, count - 1, "root tops the tape");
         trl_obs::counter!("kernel.tape_builds").inc();
         trl_obs::counter!("kernel.tape_nodes").add(count as u64);
-        EvalTape {
+        let mut tape = EvalTape {
             num_vars: circuit.num_vars(),
             ops,
             lits,
@@ -310,8 +321,40 @@ impl EvalTape {
             layer_start,
             arena_order,
             root: (count - 1) as u32,
+            wide: Vec::new(),
             backend: LaneBackend::detect(),
+        };
+        tape.wide = (0..count as u32)
+            .zip(tape.count_bounds())
+            .filter_map(|(i, bound)| (bound == u64::MAX).then_some(i))
+            .collect();
+        tape
+    }
+
+    /// A structural upper bound on every slot's model count, `u64::MAX`
+    /// marking the *wide* slots: `⊥` is 0, `⊤` and literals 1, and-gates
+    /// multiply and or-gates add their children's bounds. Evidence only
+    /// lowers leaves from 1 to 0 and both operations are monotone on the
+    /// naturals, so no count under any evidence exceeds its slot's bound.
+    /// Both operations saturate at `u64::MAX` and let it absorb, so a
+    /// slot below it has only children below it and its bound is its
+    /// exact empty-evidence count. A zero factor zeroes a product with no
+    /// wide factor; the other factors are at least 1, so their running
+    /// product saturates only when the exact one does not fit.
+    fn count_bounds(&self) -> Vec<u64> {
+        let mut bound = vec![0u64; self.len()];
+        for i in 0..self.len() {
+            let children = self.children(i).iter().map(|&ch| bound[ch as usize]);
+            bound[i] = match self.ops[i] {
+                Op::False => 0,
+                Op::True | Op::Lit => 1,
+                Op::And if children.clone().any(|b| b == u64::MAX) => u64::MAX,
+                Op::And if children.clone().any(|b| b == 0) => 0,
+                Op::And => children.fold(1, u64::saturating_mul),
+                Op::Or => children.fold(0, u64::saturating_add),
+            };
         }
+        bound
     }
 
     /// Number of tape slots (reachable circuit nodes).
@@ -405,23 +448,28 @@ impl EvalTape {
         self.count_with(|l| (pa.eval(l) != Some(false)) as u128)
     }
 
+    /// The scalar `u128` count sweep, the oracle of the lane-batched one.
+    /// Counts wrap modulo 2^128 (in every build profile) like the arena
+    /// queries.
     fn count_with(&self, leaf: impl Fn(Lit) -> u128) -> u128 {
+        self.slot_counts(leaf)[self.root as usize]
+    }
+
+    /// Every slot's value in the [`EvalTape::count_with`] sweep.
+    fn slot_counts(&self, leaf: impl Fn(Lit) -> u128) -> Vec<u128> {
         let _sweep = trl_obs::trace_span("kernel.sweep.single");
         let mut val = vec![0u128; self.len()];
         for i in 0..self.len() {
+            let children = self.children(i).iter().map(|&ch| val[ch as usize]);
             val[i] = match self.ops[i] {
                 Op::False => 0,
                 Op::True => 1,
                 Op::Lit => leaf(self.lits[i]),
-                Op::And => self
-                    .children(i)
-                    .iter()
-                    .map(|&ch| val[ch as usize])
-                    .product(),
-                Op::Or => self.children(i).iter().map(|&ch| val[ch as usize]).sum(),
+                Op::And => children.fold(1, u128::wrapping_mul),
+                Op::Or => children.fold(0, u128::wrapping_add),
             };
         }
-        val[self.root as usize]
+        val
     }
 
     /// WMC plus all literal marginals: bit-identical to
@@ -619,55 +667,123 @@ impl EvalTape {
         self.sweep_range_with::<lanes::Avx512Ops>(group, plane, lo, hi)
     }
 
-    /// Lane-batched model counting under evidence: one `[u128; LANES]`
-    /// plane scan per group of partial assignments. Counts are exact, so
-    /// agreement with the scalar kernels is plain equality.
+    /// Lane-batched model counting under evidence, equal per query to
+    /// [`EvalTape::model_count_under`] (wrap modulo 2^128 included).
+    ///
+    /// Each group of partial assignments is one tape scan in two passes:
+    /// the narrow slots in `u64` lanes, where a count cannot exceed its
+    /// static bound and so is exact, then the few wide slots (on a
+    /// conjunction of independent blocks: the top gates) in wrapping
+    /// `u128` lanes that read narrow children widened. Planes are as wide
+    /// as the group needs: 4 lanes for up to 4 queries, [`LANES`] beyond.
     pub fn model_count_under_batch(&self, evidence: &[&PartialAssignment]) -> Vec<u128> {
-        // Exact u128 counting never touches the SIMD lanes, so the span
+        // Exact counting never touches the SIMD lanes, so the span
         // carries its own name rather than the backend's.
         let _sweep = trl_obs::trace_span("kernel.sweep.count");
         record_sweeps(evidence.len());
+        if evidence.len() <= 4 {
+            self.count_groups::<4>(evidence)
+        } else {
+            self.count_groups::<LANES>(evidence)
+        }
+    }
+
+    /// [`EvalTape::model_count_under_batch`] in `W`-lane groups, the
+    /// planes reused across groups.
+    fn count_groups<const W: usize>(&self, evidence: &[&PartialAssignment]) -> Vec<u128> {
         let mut out = Vec::with_capacity(evidence.len());
-        let mut plane = vec![[0u128; LANES]; self.len()];
-        for group in evidence.chunks(LANES) {
-            for i in 0..self.len() {
-                plane[i] = match self.ops[i] {
-                    Op::False => [0; LANES],
-                    Op::True => [1; LANES],
-                    Op::Lit => {
-                        let l = self.lits[i];
-                        let mut v = [0; LANES];
-                        for (lane, pa) in group.iter().enumerate() {
-                            v[lane] = (pa.eval(l) != Some(false)) as u128;
-                        }
-                        v
-                    }
-                    Op::And => {
-                        let mut acc = [1u128; LANES];
-                        for &ch in self.children(i) {
-                            let v = plane[ch as usize];
-                            for (lane, a) in acc.iter_mut().enumerate() {
-                                *a *= v[lane];
-                            }
-                        }
-                        acc
-                    }
-                    Op::Or => {
-                        let mut acc = [0u128; LANES];
-                        for &ch in self.children(i) {
-                            let v = plane[ch as usize];
-                            for (lane, a) in acc.iter_mut().enumerate() {
-                                *a += v[lane];
-                            }
-                        }
-                        acc
-                    }
-                };
-            }
-            let root = &plane[self.root as usize];
+        let mut narrow = Vec::with_capacity(self.len());
+        let mut wide = Vec::with_capacity(self.wide.len());
+        for group in evidence.chunks(W) {
+            let root = self.count_lanes::<W>(group, &mut narrow, &mut wide);
             out.extend_from_slice(&root[..group.len()]);
         }
         out
+    }
+
+    /// One `W`-lane count sweep; returns the root's plane. `narrow` gets
+    /// one `u64` plane per slot (a zero placeholder at each wide slot,
+    /// never read), `wide` one `u128` plane per entry of `self.wide`.
+    fn count_lanes<const W: usize>(
+        &self,
+        group: &[&PartialAssignment],
+        narrow: &mut Vec<[u64; W]>,
+        wide: &mut Vec<[u128; W]>,
+    ) -> [u128; W] {
+        narrow.clear();
+        let run = |narrow: &mut Vec<[u64; W]>, slots: std::ops::Range<usize>| {
+            for i in slots {
+                let v = self.count_slot(i, group, |ch| narrow[ch]);
+                narrow.push(v);
+            }
+        };
+        // Narrow pass over the runs between wide slots. The root is the
+        // last wide slot when there is one, so the final run is then empty.
+        let mut lo = 0;
+        for &w in &self.wide {
+            run(narrow, lo..w as usize);
+            narrow.push([0; W]);
+            lo = w as usize + 1;
+        }
+        run(narrow, lo..self.len());
+        wide.clear();
+        for &w in &self.wide {
+            let v = self.count_slot(w as usize, group, |ch| {
+                match self.wide.binary_search(&(ch as u32)) {
+                    Ok(k) => wide[k],
+                    Err(_) => narrow[ch].map(u128::from),
+                }
+            });
+            wide.push(v);
+        }
+        match wide.last() {
+            Some(&root) => root,
+            None => narrow[self.root as usize].map(u128::from),
+        }
+    }
+
+    /// One slot of a count sweep in `W` lanes of `T`, reading child
+    /// planes through `child`. Evidence-refuted literals count 0, every
+    /// other leaf 1; dead lanes (past `group.len()`) count 0 at literals.
+    #[inline(always)]
+    fn count_slot<T: CountWord, const W: usize>(
+        &self,
+        i: usize,
+        group: &[&PartialAssignment],
+        child: impl Fn(usize) -> [T; W],
+    ) -> [T; W] {
+        match self.ops[i] {
+            Op::False => [T::ZERO; W],
+            Op::True => [T::ONE; W],
+            Op::Lit => {
+                let l = self.lits[i];
+                let mut v = [T::ZERO; W];
+                for (x, pa) in v.iter_mut().zip(group) {
+                    if pa.eval(l) != Some(false) {
+                        *x = T::ONE;
+                    }
+                }
+                v
+            }
+            Op::And => {
+                let mut acc = [T::ONE; W];
+                for &ch in self.children(i) {
+                    for (a, x) in acc.iter_mut().zip(child(ch as usize)) {
+                        *a = a.mul(x);
+                    }
+                }
+                acc
+            }
+            Op::Or => {
+                let mut acc = [T::ZERO; W];
+                for &ch in self.children(i) {
+                    for (a, x) in acc.iter_mut().zip(child(ch as usize)) {
+                        *a = a.add(x);
+                    }
+                }
+                acc
+            }
+        }
     }
 
     /// Lane-batched marginals: one upward plane sweep plus one downward
@@ -945,6 +1061,46 @@ impl EvalTape {
         });
         trl_obs::counter!("kernel.pool_chunks").add(chunks.load(Ordering::Relaxed));
         trl_obs::counter!("kernel.pool_steals").add(steals.load(Ordering::Relaxed));
+    }
+}
+
+/// The lane element of a count sweep: `u64` on narrow slots, `u128` on
+/// wide ones. Both operations wrap, which is exact wherever the true count
+/// fits the type and the scalar oracle's mod-2^128 semantics otherwise.
+trait CountWord: Copy {
+    const ZERO: Self;
+    const ONE: Self;
+    fn add(self, other: Self) -> Self;
+    fn mul(self, other: Self) -> Self;
+}
+
+impl CountWord for u64 {
+    const ZERO: u64 = 0;
+    const ONE: u64 = 1;
+
+    #[inline(always)]
+    fn add(self, other: u64) -> u64 {
+        self.wrapping_add(other)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: u64) -> u64 {
+        self.wrapping_mul(other)
+    }
+}
+
+impl CountWord for u128 {
+    const ZERO: u128 = 0;
+    const ONE: u128 = 1;
+
+    #[inline(always)]
+    fn add(self, other: u128) -> u128 {
+        self.wrapping_add(other)
+    }
+
+    #[inline(always)]
+    fn mul(self, other: u128) -> u128 {
+        self.wrapping_mul(other)
     }
 }
 
@@ -1343,5 +1499,182 @@ mod tests {
             let unit = LitWeights::unit(1);
             assert_eq!(tape.wmc_batch_layered(&[&unit], 2), vec![expect as f64]);
         }
+    }
+
+    /// Converts a circuit built by a dev-dependency (the compiler, the
+    /// minimizer), which links the non-test build of this crate, into
+    /// this build's types, node for node.
+    fn adopt(c: &trl_nnf::Circuit) -> Circuit {
+        let id = |x: &trl_nnf::NnfId| NnfId(x.0);
+        let nodes = c
+            .ids()
+            .map(|i| match c.node(i) {
+                trl_nnf::NnfNode::True => NnfNode::True,
+                trl_nnf::NnfNode::False => NnfNode::False,
+                trl_nnf::NnfNode::Lit(l) => NnfNode::Lit(*l),
+                trl_nnf::NnfNode::And(xs) => NnfNode::And(xs.iter().map(id).collect()),
+                trl_nnf::NnfNode::Or(xs) => NnfNode::Or(xs.iter().map(id).collect()),
+            })
+            .collect();
+        Circuit::from_parts(c.num_vars(), nodes, NnfId(c.root().0)).expect("a valid arena")
+    }
+
+    /// `copies` random 3-CNF blocks of `n` variables and `m` clauses over
+    /// disjoint variable ranges, each clause agreeing with a planted model
+    /// of its block in its first literal, so every block is satisfiable
+    /// (the shape of the benchmark's `chained_3cnf`).
+    fn planted_blocks(rng: &mut SplitMix64, copies: usize, n: usize, m: usize) -> trl_prop::Cnf {
+        let mut cnf = trl_prop::Cnf::new(copies * n);
+        for block in 0..copies {
+            let planted: Vec<bool> = (0..n).map(|_| rng.coin()).collect();
+            for _ in 0..m {
+                let mut vars: Vec<usize> = Vec::with_capacity(3);
+                while vars.len() < 3 {
+                    let x = rng.below(n);
+                    if !vars.contains(&x) {
+                        vars.push(x);
+                    }
+                }
+                let lits: Vec<Lit> = vars
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &x)| {
+                        let sign = if k == 0 { planted[x] } else { rng.coin() };
+                        v((block * n + x) as u32).literal(sign)
+                    })
+                    .collect();
+                cnf.add_clause(lits);
+            }
+        }
+        cnf
+    }
+
+    fn random_evidence(rng: &mut SplitMix64, n: usize, assigned: usize) -> PartialAssignment {
+        let mut pa = PartialAssignment::new(n);
+        for _ in 0..assigned {
+            pa.assign(v(rng.below(n) as u32).literal(rng.coin()));
+        }
+        pa
+    }
+
+    /// The bound facts the two-width count sweep relies on, on one tape:
+    /// no narrow slot counts more than its bound under any of `evidence`,
+    /// a narrow bound is the exact empty-evidence count, narrow slots have
+    /// only narrow children, a wide slot with only narrow children really
+    /// passes `u64`, the wide list ends at the root, and the batched sweep
+    /// equals the scalar one. Returns the number of wide slots.
+    fn check_bounds(tape: &EvalTape, evidence: &[PartialAssignment]) -> usize {
+        let bound = tape.count_bounds();
+        for pa in evidence {
+            let counts = tape.slot_counts(|l| u128::from(pa.eval(l) != Some(false)));
+            for (i, (&b, count)) in bound.iter().zip(counts).enumerate() {
+                assert!(b == u64::MAX || count <= u128::from(b), "slot {i}");
+            }
+        }
+        let empty = tape.slot_counts(|_| 1);
+        let wide: Vec<u32> = (0..tape.len() as u32)
+            .filter(|&i| bound[i as usize] == u64::MAX)
+            .collect();
+        assert_eq!(tape.wide, wide);
+        for (i, &b) in bound.iter().enumerate() {
+            let children = tape.children(i).iter().map(|&ch| bound[ch as usize]);
+            if b < u64::MAX {
+                assert_eq!(u128::from(b), empty[i], "slot {i}: narrow bounds are exact");
+                assert!(children.clone().all(|c| c < u64::MAX), "slot {i}");
+            } else if children.clone().all(|c| c < u64::MAX) {
+                let mut children = children.map(u128::from);
+                let exact = match tape.ops[i] {
+                    Op::And => children.try_fold(1, u128::checked_mul),
+                    Op::Or => children.try_fold(0, u128::checked_add),
+                    _ => unreachable!("leaves are narrow"),
+                };
+                assert!(exact.is_none_or(|e| e >= u128::from(u64::MAX)), "slot {i}");
+            }
+        }
+        if let Some(&last) = tape.wide.last() {
+            assert_eq!(last, tape.root, "wide slots are upward-closed");
+        }
+        let refs: Vec<&PartialAssignment> = evidence.iter().collect();
+        let scalar: Vec<u128> = refs.iter().map(|pa| tape.model_count_under(pa)).collect();
+        assert_eq!(tape.model_count_under_batch(&refs), scalar);
+        tape.wide.len()
+    }
+
+    #[test]
+    fn count_bounds_are_sound_on_random_circuits() {
+        let mut rng = SplitMix64::new(0xB0_0D);
+        let mut widest = 0;
+        for round in 0..40 {
+            let n = 3 + round % 6;
+            let mut b = CircuitBuilder::new(n);
+            let mut ids: Vec<NnfId> = (0..n as u32)
+                .flat_map(|x| [v(x).positive(), v(x).negative()])
+                .map(|l| b.lit(l))
+                .collect();
+            ids.extend([b.true_(), b.false_()]);
+            // Gates over recent nodes, so values compound with depth and
+            // some circuits pass 2^64 (and 2^128) below the root.
+            for _ in 0..60 {
+                let inputs: Vec<NnfId> = (0..1 + rng.below(4))
+                    .map(|_| ids[ids.len() - 1 - rng.below(ids.len().min(8))])
+                    .collect();
+                let gate = if rng.coin() {
+                    b.and_raw(inputs)
+                } else {
+                    b.or_raw(inputs)
+                };
+                ids.push(gate);
+            }
+            let c = b.finish(*ids.last().expect("gates were added"));
+            let tape = EvalTape::new(&c);
+            let evidence: Vec<PartialAssignment> = (0..1 + round % 9)
+                .map(|_| random_evidence(&mut rng, n, 2))
+                .collect();
+            widest = widest.max(check_bounds(&tape, &evidence));
+        }
+        assert!(
+            widest > 1,
+            "some random circuit has wide slots below its root"
+        );
+    }
+
+    #[test]
+    fn count_bounds_are_sound_on_compiled_and_compacted_circuits() {
+        let mut rng = SplitMix64::new(0xC0_4D);
+        let compiler = trl_compiler::DecisionDnnfCompiler::default();
+        // Small random CNFs (all narrow), then 5 planted blocks of 18
+        // variables with few clauses (count past 2^64: wide top gates).
+        let mut cnfs: Vec<trl_prop::Cnf> = (0..12)
+            .map(|i| trl_prop::gen::random_cnf(&mut rng, 6 + i % 5, 3 + i, 3))
+            .collect();
+        cnfs.push(planted_blocks(&mut rng, 5, 18, 5));
+        let mut widest = 0;
+        for cnf in &cnfs {
+            let compiled = compiler.compile(cnf);
+            for c in [adopt(&compiled), adopt(&trl_minimize::compact(&compiled))] {
+                let tape = EvalTape::new(&smooth(&c));
+                let evidence: Vec<PartialAssignment> = (0..5)
+                    .map(|_| random_evidence(&mut rng, cnf.num_vars(), 2))
+                    .collect();
+                widest = widest.max(check_bounds(&tape, &evidence));
+            }
+        }
+        assert!(widest > 0, "the planted blocks reach the wide sweep");
+    }
+
+    #[test]
+    fn six_hundred_blocks_leave_a_handful_of_wide_slots() {
+        let mut rng = SplitMix64::new(600);
+        let cnf = planted_blocks(&mut rng, 600, 18, 54);
+        let compiled = trl_compiler::DecisionDnnfCompiler::default().compile(&cnf);
+        let tape = EvalTape::new(&smooth(&adopt(&compiled)));
+        let evidence = [random_evidence(&mut rng, cnf.num_vars(), 3)];
+        let wide = check_bounds(&tape, &evidence);
+        assert!(tape.len() > 100_000, "{} slots", tape.len());
+        assert!(
+            (1..=4).contains(&wide),
+            "{wide} wide slots of {}",
+            tape.len()
+        );
     }
 }

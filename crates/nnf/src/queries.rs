@@ -92,15 +92,16 @@ impl Circuit {
     /// Model count assuming the circuit is **already smooth** with the root
     /// covering the full universe — one bottom-up pass, no copies. The
     /// batched query executor (`trl-engine`) smooths once per circuit and
-    /// serves every count in a batch through this entry point.
+    /// serves every count in a batch through this entry point. Counts at or
+    /// above 2^128 wrap modulo 2^128, in every build profile.
     pub fn model_count_presmoothed(&self) -> u128 {
         let mut val = vec![0u128; self.node_count()];
         for id in self.ids() {
             val[id.index()] = match self.node(id) {
                 NnfNode::True | NnfNode::Lit(_) => 1,
                 NnfNode::False => 0,
-                NnfNode::And(xs) => xs.iter().map(|x| val[x.index()]).product(),
-                NnfNode::Or(xs) => xs.iter().map(|x| val[x.index()]).sum(),
+                NnfNode::And(xs) => xs.iter().fold(1, |a, x| a.wrapping_mul(val[x.index()])),
+                NnfNode::Or(xs) => xs.iter().fold(0, |a, x| a.wrapping_add(val[x.index()])),
             };
         }
         val[self.root().index()]
@@ -109,7 +110,8 @@ impl Circuit {
     /// Model count under evidence: the number of models (over the full
     /// universe) consistent with the given partial assignment. Requires
     /// decomposability and determinism; smooths internally. This is WMC
-    /// with 0/1 weights, kept in exact `u128` arithmetic.
+    /// with 0/1 weights, kept in exact `u128` arithmetic (wrapping modulo
+    /// 2^128, as [`Circuit::model_count_presmoothed`]).
     pub fn model_count_under(&self, pa: &PartialAssignment) -> u128 {
         smooth(self).model_count_under_presmoothed(pa)
     }
@@ -126,8 +128,8 @@ impl Circuit {
                 NnfNode::True => 1,
                 NnfNode::False => 0,
                 NnfNode::Lit(l) => (pa.eval(*l) != Some(false)) as u128,
-                NnfNode::And(xs) => xs.iter().map(|x| val[x.index()]).product(),
-                NnfNode::Or(xs) => xs.iter().map(|x| val[x.index()]).sum(),
+                NnfNode::And(xs) => xs.iter().fold(1, |a, x| a.wrapping_mul(val[x.index()])),
+                NnfNode::Or(xs) => xs.iter().fold(0, |a, x| a.wrapping_add(val[x.index()])),
             };
         }
         val[self.root().index()]

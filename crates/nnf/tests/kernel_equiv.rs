@@ -11,6 +11,7 @@
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
 use trl_nnf::{smooth, Circuit, EvalTape, LaneBackend, LitWeights, LANES};
+use trl_prop::Cnf;
 
 /// Per-variable weights skewed away from 1 so products differ per lane and
 /// rounding is actually exercised.
@@ -210,5 +211,119 @@ fn tape_layers_are_topological_and_root_is_last() {
         );
         assert!(tape.num_layers() >= 1, "instance {i}");
         assert_eq!(tape.num_vars(), smoothed.num_vars(), "instance {i}");
+    }
+}
+
+/// `copies` random 3-CNF blocks of `n` variables and `m` clauses over
+/// disjoint variable ranges, each clause agreeing with a planted model of
+/// its block in its first literal (the shape of the benchmark's
+/// `chained_3cnf`). Returns the whole CNF and each block on its own
+/// `n`-variable universe.
+fn planted_blocks(rng: &mut SplitMix64, copies: usize, n: usize, m: usize) -> (Cnf, Vec<Cnf>) {
+    let mut whole = Cnf::new(copies * n);
+    let mut blocks = Vec::with_capacity(copies);
+    for block in 0..copies {
+        let mut own = Cnf::new(n);
+        let planted: Vec<bool> = (0..n).map(|_| rng.coin()).collect();
+        for _ in 0..m {
+            let mut vars: Vec<usize> = Vec::with_capacity(3);
+            while vars.len() < 3 {
+                let x = rng.below(n);
+                if !vars.contains(&x) {
+                    vars.push(x);
+                }
+            }
+            let signs: Vec<bool> = (0..3)
+                .map(|k| if k == 0 { planted[vars[0]] } else { rng.coin() })
+                .collect();
+            let lit = |x: usize, sign: bool, base: usize| Var((base + x) as u32).literal(sign);
+            own.add_clause(vars.iter().zip(&signs).map(|(&x, &s)| lit(x, s, 0)));
+            whole.add_clause(vars.iter().zip(&signs).map(|(&x, &s)| lit(x, s, block * n)));
+        }
+        blocks.push(own);
+    }
+    (whole, blocks)
+}
+
+/// Evidence of three kinds, cycled: none, a few literals of the planted
+/// blocks' variables (satisfiable or not, as drawn), and the negation of
+/// one whole clause (contradicting, count 0).
+fn evidence_mix(rng: &mut SplitMix64, cnf: &Cnf, count: usize) -> Vec<PartialAssignment> {
+    let n = cnf.num_vars();
+    (0..count)
+        .map(|k| {
+            let mut pa = PartialAssignment::new(n);
+            match k % 3 {
+                0 => {}
+                1 => {
+                    for _ in 0..1 + k % 4 {
+                        pa.assign(Var(rng.below(n) as u32).literal(rng.coin()));
+                    }
+                }
+                _ => {
+                    let clause = &cnf.clauses()[rng.below(cnf.clauses().len())];
+                    for &l in clause.literals() {
+                        pa.assign(!l);
+                    }
+                }
+            }
+            pa
+        })
+        .collect()
+}
+
+/// Circuits whose counts pass 2^64 (4 blocks) and 2^128 (8 blocks) run
+/// the wide `u128` part of the batched count sweep; every group size must
+/// still match both scalar oracles exactly, wrap modulo 2^128 included.
+#[test]
+fn wide_counts_match_scalar_oracles_across_group_sizes() {
+    let mut rng = SplitMix64::new(0x71de_c047);
+    let compiler = DecisionDnnfCompiler::default();
+    for copies in [4usize, 8] {
+        let (cnf, blocks) = planted_blocks(&mut rng, copies, 18, 5);
+        let smoothed = smooth(&compiler.compile(&cnf));
+        let tape = EvalTape::new(&smoothed);
+        let block_counts: Vec<u128> = blocks
+            .iter()
+            .map(|b| compiler.compile(b).model_count())
+            .collect();
+        let exact = block_counts
+            .iter()
+            .try_fold(1u128, |acc, &c| acc.checked_mul(c));
+        let wrapped = block_counts
+            .iter()
+            .fold(1u128, |acc, &c| acc.wrapping_mul(c));
+        let empty = PartialAssignment::new(cnf.num_vars());
+        assert_eq!(tape.model_count_under(&empty), wrapped, "{copies} blocks");
+        if copies == 4 {
+            let exact = exact.expect("4 blocks stay below 2^128");
+            assert!(exact > u128::from(u64::MAX) && exact < 1 << 127, "{exact}");
+        } else {
+            assert_eq!(exact, None, "8 blocks pass 2^128");
+        }
+
+        let evidence = evidence_mix(&mut rng, &cnf, 17);
+        let expect: Vec<u128> = evidence
+            .iter()
+            .map(|pa| smoothed.model_count_under_presmoothed(pa))
+            .collect();
+        assert_eq!(expect[0], wrapped, "{copies} blocks: empty evidence");
+        assert!(expect.contains(&0), "some evidence contradicts");
+        assert!(expect.iter().any(|&c| c > u128::from(u64::MAX)));
+        for (pa, &e) in evidence.iter().zip(&expect) {
+            assert_eq!(
+                tape.model_count_under(pa),
+                e,
+                "{copies} blocks: tape scalar"
+            );
+        }
+        for size in [1usize, 3, 4, 5, 8, 9, 17] {
+            let refs: Vec<&PartialAssignment> = evidence[..size].iter().collect();
+            assert_eq!(
+                tape.model_count_under_batch(&refs),
+                expect[..size],
+                "{copies} blocks, group of {size}"
+            );
+        }
     }
 }
