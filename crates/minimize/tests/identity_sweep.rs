@@ -15,9 +15,10 @@
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{Assignment, PartialAssignment, SplitMix64, Var};
 use trl_minimize::{
-    dyadic_weights, minimize_circuit, mixed_dyadic_weights, MinimizeConfig, Strategy,
+    compact, dyadic_weights, minimize_circuit, mixed_dyadic_weights, MinimizeConfig, Strategy,
 };
-use trl_nnf::Circuit;
+use trl_nnf::{smooth, Circuit, EvalTape};
+use trl_prop::Cnf;
 
 fn corpus() -> Vec<(usize, Circuit)> {
     let mut rng = SplitMix64::new(0x5eed_c0de);
@@ -127,5 +128,62 @@ fn per_strategy_identity_spot_checks() {
             assert!(minimized.node_count() <= circuit.node_count());
             assert_identical(i, n, &circuit, &minimized);
         }
+    }
+}
+
+/// `compact` output (or-gates merged to wider fan-in) with counts past
+/// 2^64 (5 blocks) and past 2^128 (8 blocks, wrapping): the lane-batched
+/// count sweep, whose top gates run in `u128`, must equal both scalar
+/// count sweeps on it, as on the compiled circuit.
+#[test]
+fn compacted_wide_counts_match_the_batched_sweep() {
+    let mut rng = SplitMix64::new(0xC0_4D);
+    let compiler = DecisionDnnfCompiler::default();
+    for copies in [5usize, 8] {
+        // Disjoint random 3-CNF blocks of 18 variables and 5 clauses.
+        let n = copies * 18;
+        let mut cnf = Cnf::new(n);
+        for block in 0..copies {
+            for clause in trl_prop::gen::random_cnf(&mut rng, 18, 5, 3).clauses() {
+                cnf.add_clause(
+                    clause.literals().iter().map(|l| {
+                        Var((block * 18 + l.var().index()) as u32).literal(l.is_positive())
+                    }),
+                );
+            }
+        }
+        let compiled = compiler.compile(&cnf);
+        let compacted = compact(&compiled);
+        let mut evidence = vec![PartialAssignment::new(n)];
+        evidence.extend((0..8).map(|_| {
+            let mut pa = PartialAssignment::new(n);
+            for _ in 0..2 {
+                pa.assign(Var(rng.below(n) as u32).literal(rng.coin()));
+            }
+            pa
+        }));
+        let refs: Vec<&PartialAssignment> = evidence.iter().collect();
+        for (name, c) in [("compiled", &compiled), ("compacted", &compacted)] {
+            let smoothed = smooth(c);
+            let tape = EvalTape::new(&smoothed);
+            let expect: Vec<u128> = evidence
+                .iter()
+                .map(|pa| smoothed.model_count_under_presmoothed(pa))
+                .collect();
+            if copies == 5 {
+                assert!(expect[0] > u128::from(u64::MAX), "{name}: {}", expect[0]);
+            }
+            for (pa, &e) in evidence.iter().zip(&expect) {
+                assert_eq!(tape.model_count_under(pa), e, "{copies} blocks, {name}");
+            }
+            for size in [4, 9] {
+                assert_eq!(
+                    tape.model_count_under_batch(&refs[..size]),
+                    expect[..size],
+                    "{copies} blocks, {name}, group of {size}"
+                );
+            }
+        }
+        assert_eq!(compiled.model_count(), compacted.model_count());
     }
 }

@@ -681,6 +681,12 @@ impl EvalTape {
         // carries its own name rather than the backend's.
         let _sweep = trl_obs::trace_span("kernel.sweep.count");
         record_sweeps(evidence.len());
+        // A served frame's four count queries mostly reach the kernel as
+        // one group of 4 (the rest as 8, two frames merged). On the
+        // 600-block serving tape (2-CPU AVX-512 host) a 4-lane sweep
+        // takes about 4.6 ns per node and query on such a group against
+        // 7.0 for a LANES-lane one, whose dead lanes still multiply; on
+        // 8 queries one LANES sweep (3.7) beats two 4-lane ones (4.2).
         if evidence.len() <= 4 {
             self.count_groups::<4>(evidence)
         } else {
@@ -1501,52 +1507,27 @@ mod tests {
         }
     }
 
-    /// Converts a circuit built by a dev-dependency (the compiler, the
-    /// minimizer), which links the non-test build of this crate, into
-    /// this build's types, node for node.
-    fn adopt(c: &trl_nnf::Circuit) -> Circuit {
-        let id = |x: &trl_nnf::NnfId| NnfId(x.0);
-        let nodes = c
-            .ids()
-            .map(|i| match c.node(i) {
-                trl_nnf::NnfNode::True => NnfNode::True,
-                trl_nnf::NnfNode::False => NnfNode::False,
-                trl_nnf::NnfNode::Lit(l) => NnfNode::Lit(*l),
-                trl_nnf::NnfNode::And(xs) => NnfNode::And(xs.iter().map(id).collect()),
-                trl_nnf::NnfNode::Or(xs) => NnfNode::Or(xs.iter().map(id).collect()),
-            })
-            .collect();
-        Circuit::from_parts(c.num_vars(), nodes, NnfId(c.root().0)).expect("a valid arena")
-    }
-
-    /// `copies` random 3-CNF blocks of `n` variables and `m` clauses over
-    /// disjoint variable ranges, each clause agreeing with a planted model
-    /// of its block in its first literal, so every block is satisfiable
-    /// (the shape of the benchmark's `chained_3cnf`).
-    fn planted_blocks(rng: &mut SplitMix64, copies: usize, n: usize, m: usize) -> trl_prop::Cnf {
-        let mut cnf = trl_prop::Cnf::new(copies * n);
-        for block in 0..copies {
-            let planted: Vec<bool> = (0..n).map(|_| rng.coin()).collect();
-            for _ in 0..m {
-                let mut vars: Vec<usize> = Vec::with_capacity(3);
-                while vars.len() < 3 {
-                    let x = rng.below(n);
-                    if !vars.contains(&x) {
-                        vars.push(x);
-                    }
-                }
-                let lits: Vec<Lit> = vars
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &x)| {
-                        let sign = if k == 0 { planted[x] } else { rng.coin() };
-                        v((block * n + x) as u32).literal(sign)
-                    })
-                    .collect();
-                cnf.add_clause(lits);
-            }
+    /// A d-DNNF deciding `vars` in order, the variables `forced` picks
+    /// pinned true and every other one free (count: 2 to the number of
+    /// free variables).
+    fn decision_chain(
+        b: &mut CircuitBuilder,
+        vars: std::ops::Range<u32>,
+        mut forced: impl FnMut(u32) -> bool,
+    ) -> NnfId {
+        let mut node = b.true_();
+        for x in vars.rev() {
+            let pos = b.var(v(x));
+            let hi = b.and([pos, node]);
+            node = if forced(x) {
+                hi
+            } else {
+                let neg = b.lit(v(x).negative());
+                let lo = b.and([neg, node]);
+                b.or_raw([hi, lo])
+            };
         }
-        cnf
+        node
     }
 
     fn random_evidence(rng: &mut SplitMix64, n: usize, assigned: usize) -> PartialAssignment {
@@ -1639,42 +1620,47 @@ mod tests {
     }
 
     #[test]
-    fn count_bounds_are_sound_on_compiled_and_compacted_circuits() {
-        let mut rng = SplitMix64::new(0xC0_4D);
-        let compiler = trl_compiler::DecisionDnnfCompiler::default();
-        // Small random CNFs (all narrow), then 5 planted blocks of 18
-        // variables with few clauses (count past 2^64: wide top gates).
-        let mut cnfs: Vec<trl_prop::Cnf> = (0..12)
-            .map(|i| trl_prop::gen::random_cnf(&mut rng, 6 + i % 5, 3 + i, 3))
-            .collect();
-        cnfs.push(planted_blocks(&mut rng, 5, 18, 5));
-        let mut widest = 0;
-        for cnf in &cnfs {
-            let compiled = compiler.compile(cnf);
-            for c in [adopt(&compiled), adopt(&trl_minimize::compact(&compiled))] {
-                let tape = EvalTape::new(&smooth(&c));
-                let evidence: Vec<PartialAssignment> = (0..5)
-                    .map(|_| random_evidence(&mut rng, cnf.num_vars(), 2))
-                    .collect();
-                widest = widest.max(check_bounds(&tape, &evidence));
-            }
-        }
-        assert!(widest > 0, "the planted blocks reach the wide sweep");
-    }
-
-    #[test]
     fn six_hundred_blocks_leave_a_handful_of_wide_slots() {
+        // The serving benchmark's large circuit: one and-gate over 600
+        // independent 18-variable blocks, whose counts each fit in u64.
         let mut rng = SplitMix64::new(600);
-        let cnf = planted_blocks(&mut rng, 600, 18, 54);
-        let compiled = trl_compiler::DecisionDnnfCompiler::default().compile(&cnf);
-        let tape = EvalTape::new(&smooth(&adopt(&compiled)));
-        let evidence = [random_evidence(&mut rng, cnf.num_vars(), 3)];
+        let mut b = CircuitBuilder::new(600 * 18);
+        let blocks: Vec<NnfId> = (0..600u32)
+            .map(|k| decision_chain(&mut b, 18 * k..18 * (k + 1), |_| rng.below(4) == 0))
+            .collect();
+        let top = b.and_raw(blocks);
+        let tape = EvalTape::new(&smooth(&b.finish(top)));
+        let evidence = [random_evidence(&mut rng, 600 * 18, 3)];
         let wide = check_bounds(&tape, &evidence);
-        assert!(tape.len() > 100_000, "{} slots", tape.len());
+        assert!(tape.len() > 600 * 18, "{} slots", tape.len());
         assert!(
             (1..=4).contains(&wide),
             "{wide} wide slots of {}",
             tape.len()
         );
+    }
+
+    #[test]
+    fn a_wide_fan_in_or_over_narrow_children_is_wide() {
+        // Four 2^63-count children: the or-gate's sum is the first value
+        // past u64, and the and-gate above it is wide through it.
+        let mut b = CircuitBuilder::new(68);
+        let free = decision_chain(&mut b, 0..63, |_| false);
+        let children: Vec<NnfId> = (63..67)
+            .map(|x| {
+                let pin = b.var(v(x));
+                b.and_raw([free, pin])
+            })
+            .collect();
+        let or = b.or_raw(children);
+        let top = b.var(v(67));
+        let root = b.and_raw([or, top]);
+        let tape = EvalTape::new(&b.finish(root));
+        let mut rng = SplitMix64::new(0x0F_A2);
+        let mut evidence = vec![PartialAssignment::new(68)];
+        evidence.extend((0..8).map(|_| random_evidence(&mut rng, 68, 2)));
+        assert_eq!(check_bounds(&tape, &evidence), 2);
+        assert_eq!(tape.ops[tape.wide[0] as usize], Op::Or);
+        assert_eq!(tape.model_count_under(&evidence[0]), 1 << 65);
     }
 }
